@@ -14,27 +14,25 @@ from .errors import (BoundaryAmbiguity, ConfigError, DivergenceWarning,
 from .evolution import (TOADistribution, barrier_toa, free_kijowski,
                         propagate_closed_form, propagate_slices, toa_density)
 from .kijowski import model_distance, transmission_amplitude, transmitted_kijowski
-from .numerics import (EnergyGrid, SqrtBranch, TimeGrid, complex_sqrt_2m,
-                       fourier_E_to_t, fourier_t_to_E)
-from .packet import (Branch, GaussianPacketSpec, InitialAmplitudeRule,
-                     SpectralAmplitude, default_energy_grid, psi_momentum,
-                     psi_position, sc_initial_amplitude)
-from .potential import PiecewisePotential, phase_integral, phase_theta
+from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
+                       fourier_t_to_E)
+from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
+                     psi_momentum, psi_position, sc_initial_amplitude)
+from .potential import PiecewisePotential, phase_theta
 from .scenario import (ScenarioConfig, ScenarioResult, SweepPoint, emit_csv,
                        emit_svg, run_scenario)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "BoundaryAmbiguity", "ConfigError", "DivergenceWarning",
-    "EnergyGrid", "GaussianPacketSpec", "GridMismatch", "GridTooCoarse",
-    "InitialAmplitudeRule", "PiecewisePotential", "ResonancePole",
-    "ScenarioConfig", "ScenarioResult", "SpectralAmplitude", "SqrtBranch",
+    "BoundaryAmbiguity", "ConfigError", "DivergenceWarning", "EnergyGrid",
+    "GaussianPacketSpec", "GridMismatch", "GridTooCoarse", "PiecewisePotential",
+    "ResonancePole", "ScenarioConfig", "ScenarioResult", "SpectralAmplitude",
     "SweepPoint", "TOADistribution", "TimeGrid", "UnstableConfig",
     "ZeroArrival", "barrier_toa", "complex_sqrt_2m", "default_energy_grid",
     "emit_csv", "emit_svg", "fourier_E_to_t", "fourier_t_to_E",
-    "free_kijowski", "model_distance", "phase_integral", "phase_theta",
-    "propagate_closed_form", "propagate_slices", "psi_momentum",
-    "psi_position", "run_scenario", "sc_initial_amplitude", "toa_density",
-    "transmission_amplitude", "transmitted_kijowski",
+    "free_kijowski", "model_distance", "phase_theta", "propagate_closed_form",
+    "propagate_slices", "psi_momentum", "psi_position", "run_scenario",
+    "sc_initial_amplitude", "toa_density", "transmission_amplitude",
+    "transmitted_kijowski",
 ]

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["GridTooCoarse", "BoundaryAmbiguity", "DivergenceWarning",
+           "ZeroArrival", "GridMismatch", "UnstableConfig", "ResonancePole",
+           "ConfigError"]
+
 
 class GridTooCoarse(ValueError):
     """Energy grid spacing too coarse for the requested time window (aliasing risk)."""

@@ -8,7 +8,7 @@ same multipliers slice by slice in increasing (decreasing) x order for
 forward (backward) translation, and reduces to the closed form whenever the
 slices align with segment edges.
 
-The translation generates no reflected (MINUS-branch) component at segment
+The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
 a reflected branch should be sourced at interfaces is an open question of the
 underlying model; the code implements the translation exactly as written.
@@ -17,15 +17,14 @@ underlying model; the code implements the translation exactly as written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergenceWarning, ZeroArrival
 from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
                        trapezoid_complex)
-from .packet import (Branch, GaussianPacketSpec, SpectralAmplitude,
-                     default_energy_grid, sc_initial_amplitude)
+from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
+                     sc_initial_amplitude)
 from .potential import PiecewisePotential, phase_theta
 
 __all__ = ["TOADistribution", "propagate_closed_form", "propagate_slices",
@@ -54,7 +53,6 @@ class TOADistribution:
     arrival_probability: float
     detector_x: float
     normalized: bool
-    partial_penetration: bool = False
 
     def __post_init__(self):
         d = np.asarray(self.density, dtype=float)
@@ -92,10 +90,9 @@ def _check_growth(exponents: np.ndarray):
 
 
 def _apply_multiplier(amps: SpectralAmplitude, theta, x: float) -> SpectralAmplitude:
-    sign = 1.0 if amps.branch is Branch.PLUS else -1.0
-    exponent = 1j * sign * np.asarray(theta)
+    exponent = 1j * np.asarray(theta)
     _check_growth(exponent.real)
-    return SpectralAmplitude(amps.branch, amps.values * np.exp(exponent),
+    return SpectralAmplitude(amps.values * np.exp(exponent),
                              anchor_x=x, egrid=amps.egrid, m=amps.m, hbar=amps.hbar)
 
 
@@ -128,36 +125,25 @@ def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
     return _apply_multiplier(amps, theta, x)
 
 
-def toa_density(amps: SpectralAmplitude | Sequence[SpectralAmplitude], x: float,
-                tgrid: TimeGrid, normalize: bool = True,
-                method: str = "fft") -> TOADistribution:
-    """Assemble the arrival-time density at x from translated amplitudes.
+def toa_density(amps: SpectralAmplitude, x: float, tgrid: TimeGrid,
+                normalize: bool = True, method: str = "fft") -> TOADistribution:
+    """Assemble the arrival-time density at x from a translated amplitude.
 
-    density(t) = sum over branches |F[amp](t)|^2, with F the energy->time
-    transform.  The unnormalized arrival probability is the energy integral of
-    the squared amplitudes.  When ``normalize`` is set the density is scaled
-    to unit integral on its grid (the representable part of the arrival-time
+    density(t) = |F[amp](t)|^2, with F the energy->time transform.  The
+    unnormalized arrival probability is the energy integral of the squared
+    amplitude.  When ``normalize`` is set the density is scaled to unit
+    integral on its grid (the representable part of the arrival-time
     support).
     """
-    branch_amps = [amps] if isinstance(amps, SpectralAmplitude) else list(amps)
-    if not branch_amps:
-        raise ValueError("need at least one branch amplitude")
-    for a in branch_amps:
-        if not np.isclose(a.anchor_x, x, rtol=0.0, atol=1e-12):
-            raise ValueError(f"amplitude anchored at {a.anchor_x}, expected {x}")
-
-    first = branch_amps[0]
-    egrid, hbar = first.egrid, first.hbar
-    arrival = sum(
-        float(trapezoid_complex(np.abs(a.values) ** 2, egrid.spacing).real)
-        for a in branch_amps)
+    if not np.isclose(amps.anchor_x, x, rtol=0.0, atol=1e-12):
+        raise ValueError(f"amplitude anchored at {amps.anchor_x}, expected {x}")
+    egrid = amps.egrid
+    arrival = float(trapezoid_complex(np.abs(amps.values) ** 2, egrid.spacing).real)
     if arrival < _ARRIVAL_FLOOR:
         raise ZeroArrival(f"arrival probability {arrival:g} at x = {x}")
 
-    density = np.zeros(tgrid.n)
-    for a in branch_amps:
-        series = fourier_E_to_t(a.values, egrid, tgrid, hbar=hbar, method=method)
-        density += np.abs(series) ** 2
+    series = fourier_E_to_t(amps.values, egrid, tgrid, hbar=amps.hbar, method=method)
+    density = np.abs(series) ** 2
     if normalize:
         norm = float(trapezoid_complex(density, tgrid.spacing).real)
         if norm < _ARRIVAL_FLOOR:
@@ -181,7 +167,7 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     amps0 = sc_initial_amplitude(spec, egrid)
     P = np.sqrt(2.0 * spec.m * egrid.samples)
     values = amps0.values * np.exp(1j * P * x / spec.hbar)
-    amps = SpectralAmplitude(Branch.PLUS, values, anchor_x=x, egrid=egrid,
+    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid,
                              m=spec.m, hbar=spec.hbar)
     return toa_density(amps, x, tgrid, normalize=normalize, method=method)
 

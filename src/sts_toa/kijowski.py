@@ -13,8 +13,8 @@ import numpy as np
 from .errors import GridMismatch, ResonancePole
 from .evolution import TOADistribution, toa_density
 from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
-from .packet import (Branch, GaussianPacketSpec, SpectralAmplitude,
-                     default_energy_grid, sc_initial_amplitude)
+from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
+                     sc_initial_amplitude)
 
 __all__ = ["transmission_amplitude", "transmitted_kijowski", "model_distance"]
 
@@ -67,7 +67,7 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
     P = np.sqrt(2.0 * spec.m * egrid.samples)
     T = transmission_amplitude(P, v0, length, m=spec.m, hbar=spec.hbar)
     values = T * base.values * np.exp(1j * P * x / spec.hbar)
-    amps = SpectralAmplitude(Branch.PLUS, values, anchor_x=x, egrid=egrid,
+    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid,
                              m=spec.m, hbar=spec.hbar)
     return toa_density(amps, x, tgrid, normalize=normalize, method=method)
 

@@ -13,7 +13,6 @@ error; the direct path is kept permanently as a validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.signal import czt
@@ -23,7 +22,6 @@ from .errors import GridTooCoarse
 __all__ = [
     "EnergyGrid",
     "TimeGrid",
-    "SqrtBranch",
     "complex_sqrt_2m",
     "trapezoid_complex",
     "fourier_E_to_t",
@@ -31,25 +29,14 @@ __all__ = [
 ]
 
 
-class SqrtBranch(Enum):
-    """Branch policy for sqrt of a real argument continued into the complex plane.
+def complex_sqrt_2m(E, V, m):
+    """sqrt(2 m (E - V)) on the upper-half-plane branch.
 
-    UPPER_HALF_PLANE: sqrt(r) is real nonnegative for r >= 0 and +i*sqrt(|r|)
-    for r < 0 (never -i), so forward translation through classically
-    forbidden regions attenuates rather than grows.
+    Purely real (nonnegative) for E >= V, purely imaginary with positive
+    imaginary part (never -i) for E < V, so forward translation through
+    classically forbidden regions attenuates rather than grows.  Accepts
+    scalars or arrays (broadcast).
     """
-
-    UPPER_HALF_PLANE = "upper-half-plane"
-
-
-def complex_sqrt_2m(E, V, m, branch: SqrtBranch = SqrtBranch.UPPER_HALF_PLANE):
-    """sqrt(2 m (E - V)) under the upper-half-plane branch policy.
-
-    Purely real for E >= V, purely imaginary with positive imaginary part for
-    E < V.  Accepts scalars or arrays (broadcast).
-    """
-    if branch is not SqrtBranch.UPPER_HALF_PLANE:  # pragma: no cover
-        raise ValueError(f"unsupported branch {branch}")
     arg = np.asarray(2.0 * m * (np.asarray(E, dtype=float) - np.asarray(V, dtype=float)))
     # casting the real argument to complex gives +0j imaginary part, which
     # numpy's sqrt continues onto the positive imaginary axis

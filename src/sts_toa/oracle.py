@@ -15,12 +15,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import UnstableConfig
+from .numerics import _trapezoid_weights
 from .packet import GaussianPacketSpec, psi_momentum, psi_position
 from .potential import PiecewisePotential
 
 __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
            "transfer_matrix_T", "crank_nicolson_evolve", "flux_toa",
-           "time_potential_solution", "barrier_oracle_config",
+           "time_potential_solution", "snapped_grid_config",
+           "barrier_oracle_config", "barrier_transmission_norm",
            "transmitted_norm"]
 
 
@@ -67,9 +69,13 @@ class GridSolverConfig:
     """Space-time grid for the Crank-Nicolson propagator.
 
     Validity bounds (checked against the packet before a run):
-      dx < 2 pi hbar / (6 p_max)   -- resolve the shortest wavelength
+      dx < 2 pi hbar / (6 p_max)   -- resolve the shortest wavelength, with
+                                      p_max = p_i + 10 sigma_p
       dt < m dx^2 / hbar           -- phase-error comfort margin (the scheme
                                       itself is unconditionally stable)
+
+    ``absorber_width`` > 0 adds an imaginary quartic ramp of that width and
+    height p_i^2 / 2m at both walls.
     """
 
     x_min: float
@@ -78,7 +84,6 @@ class GridSolverConfig:
     dt: float
     t_final: float
     absorber_width: float = 0.0
-    absorber_strength: float | None = None
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -96,9 +101,8 @@ class GridSolverConfig:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
-    def validate(self, spec: GaussianPacketSpec, p_max: float | None = None):
-        if p_max is None:
-            p_max = spec.p_i + 10.0 * spec.sigma_p
+    def validate(self, spec: GaussianPacketSpec):
+        p_max = spec.p_i + 10.0 * spec.sigma_p
         if not self.dx < 2.0 * np.pi * spec.hbar / (6.0 * p_max):
             raise UnstableConfig(
                 f"dx = {self.dx:g} does not resolve p_max = {p_max:g} "
@@ -111,14 +115,12 @@ class GridSolverConfig:
 
 @dataclass
 class ProbeSeries:
-    """Per-step record at one grid point: value, spatial derivative, and the
-    norm accumulated to the left of the point."""
+    """Per-step record at one grid point: value and spatial derivative."""
 
     x: float
     index: int
     values: np.ndarray
     derivs: np.ndarray
-    left_norm: np.ndarray
 
 
 @dataclass
@@ -126,8 +128,7 @@ class CNResult:
     x: np.ndarray
     times: np.ndarray                       # every step time, including t=0
     norms: np.ndarray                       # total norm per step
-    snapshot_times: np.ndarray
-    snapshots: np.ndarray                   # (n_snapshots, n_x)
+    psi_final: np.ndarray                   # wave function at times[-1]
     probes: dict = field(default_factory=dict)
     hbar: float = 1.0
     m: float = 1.0
@@ -187,19 +188,16 @@ def _banded_ab(d2, d1, d0):
 def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
                           cfg: GridSolverConfig,
                           probe_x: Sequence[float] = (),
-                          snapshot_stride: int = 0,
-                          vt: Callable[[float], float] | None = None,
-                          p_max: float | None = None) -> CNResult:
+                          vt: Callable[[float], float] | None = None) -> CNResult:
     """Propagate the packet with the Crank-Nicolson scheme.
 
     Dirichlet walls; optional imaginary polynomial absorbing ramp of width
     ``cfg.absorber_width`` at both walls (norm then non-increasing).  ``vt``
     adds a spatially uniform time-dependent potential, evaluated at the step
-    midpoint.  ``probe_x`` grid points are recorded at every step;
-    ``snapshot_stride`` > 0 stores every stride-th full wave function (the
-    initial and final states are always stored).
+    midpoint.  ``probe_x`` grid points are recorded at every step; of the
+    full wave function only the final state is kept.
     """
-    cfg.validate(spec, p_max=p_max)
+    cfg.validate(spec)
     x = cfg.x
     dx = cfg.dx
     hbar, m = spec.hbar, spec.m
@@ -212,9 +210,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     v = _sample_potential(pot, x).astype(complex)
     if cfg.absorber_width > 0.0:
-        eta = cfg.absorber_strength
-        if eta is None:
-            eta = spec.p_i**2 / (2.0 * m)
+        eta = spec.p_i**2 / (2.0 * m)
         for sgn, wall in ((1, cfg.x_min), (-1, cfg.x_max)):
             d = sgn * (x - wall)
             ramp = np.clip(1.0 - d / cfg.absorber_width, 0.0, 1.0)
@@ -245,8 +241,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
         if abs(x[j] - px) > 1e-9 * max(1.0, abs(px)):
             raise ValueError(f"probe position {px} is not on the solver grid")
     probes = {px: ProbeSeries(px, j, np.empty(n_steps + 1, dtype=complex),
-                              np.empty(n_steps + 1, dtype=complex),
-                              np.empty(n_steps + 1))
+                              np.empty(n_steps + 1, dtype=complex))
               for px, j in zip(probe_x, probe_idx)}
 
     def record(i, psi):
@@ -255,12 +250,8 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
             series.values[i] = psi[j]
             series.derivs[i] = (psi[j - 2] - 8.0 * psi[j - 1]
                                 + 8.0 * psi[j + 1] - psi[j + 2]) / (12.0 * dx)
-            series.left_norm[i] = dx * (np.sum(np.abs(psi[:j]) ** 2)
-                                        + 0.5 * np.abs(psi[j]) ** 2)
 
     record(0, psi)
-    snaps = [psi.copy()]
-    snap_times = [0.0]
 
     for i in range(1, n_steps + 1):
         if vt is not None:
@@ -269,17 +260,9 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
         psi = solve_banded((2, 2), ab_A, rhs)
         norms[i] = dx * float(np.sum(np.abs(psi) ** 2))
         record(i, psi)
-        if snapshot_stride and (i % snapshot_stride == 0) and i != n_steps:
-            snaps.append(psi.copy())
-            snap_times.append(times[i])
-    if n_steps > 0:
-        snaps.append(psi.copy())
-        snap_times.append(times[-1])
 
-    return CNResult(x=x, times=times, norms=norms,
-                    snapshot_times=np.asarray(snap_times),
-                    snapshots=np.asarray(snaps), probes=probes,
-                    hbar=hbar, m=m)
+    return CNResult(x=x, times=times, norms=norms, psi_final=psi,
+                    probes=probes, hbar=hbar, m=m)
 
 
 @dataclass
@@ -312,105 +295,104 @@ def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
 
 
 def transmitted_norm(result: CNResult, x_cut: float) -> float:
-    """Norm beyond x_cut in the final stored state."""
-    psi = result.snapshots[-1]
+    """Norm beyond x_cut in the final state."""
+    psi = result.psi_final
     dx = result.x[1] - result.x[0]
     mask = result.x > x_cut
     return dx * float(np.sum(np.abs(psi[mask]) ** 2))
 
 
+def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
+                        t_final: float, dx: float,
+                        absorber_width: float = 0.0) -> GridSolverConfig:
+    """Solver grid covering [x_lo, x_hi] with spacing dx, run to t_final.
+
+    The walls are snapped outward to multiples of dx so that segment edges
+    and detectors at such multiples land on grid points; dt is the largest
+    step of at most 0.8 m dx^2 / hbar that divides t_final evenly.
+    """
+    x_min = np.floor(x_lo / dx) * dx
+    x_max = np.ceil(x_hi / dx) * dx
+    n_x = int(round((x_max - x_min) / dx)) + 1
+    dt_bound = spec.m * dx**2 / spec.hbar
+    n_steps = int(np.ceil(t_final / (0.8 * dt_bound)))
+    return GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=n_x,
+                            dt=t_final / n_steps, t_final=t_final,
+                            absorber_width=absorber_width)
+
+
 def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
-                          margin_sigma: float = 5.0,
                           time_factor: float = 1.5,
-                          dx_target: float = 0.125,
-                          dt_fraction: float = 0.8) -> tuple[GridSolverConfig, float, float]:
+                          dx_target: float = 0.125) -> tuple[GridSolverConfig, float, float]:
     """Solver config for the square-barrier runs.
 
     Returns (config, x_cut, t_measure): the transmitted norm is read beyond
-    x_cut = L + margin_sigma * delta at t_measure = time_factor times the free
-    classical crossing time to x_cut.  The domain is sized so that neither the
+    x_cut = L + 5 delta at t_measure = time_factor times the free classical
+    crossing time to x_cut.  The domain is sized so that neither the
     transmitted front nor the reflected packet reaches a wall by t_measure.
     """
     v = spec.p_i / spec.m
-    x_cut = length + margin_sigma * spec.delta
+    x_cut = length + 5.0 * spec.delta
     t_meas = time_factor * (x_cut - spec.x_i) / v
     # spread of the dispersing packet by t_meas
     width_t = spec.delta * np.sqrt(1.0 + (spec.hbar * t_meas
                                           / (2.0 * spec.m * spec.delta**2)) ** 2)
     pad = 6.0 * width_t
-    x_min = min(spec.x_i - v * t_meas - pad, spec.x_i - pad)
-    x_max = max(spec.x_i + v * t_meas + pad, x_cut + pad)
-    # snap the walls to multiples of dx so segment edges land on grid points
-    dx = dx_target
-    x_min = np.floor(x_min / dx) * dx
-    x_max = np.ceil(x_max / dx) * dx
-    n_x = int(round((x_max - x_min) / dx)) + 1
-    dt_bound = spec.m * dx**2 / spec.hbar
-    n_steps = int(np.ceil(t_meas / (dt_fraction * dt_bound)))
-    dt = t_meas / n_steps
-    cfg = GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=n_x,
-                           dt=dt, t_final=t_meas)
+    x_lo = min(spec.x_i - v * t_meas - pad, spec.x_i - pad)
+    x_hi = max(spec.x_i + v * t_meas + pad, x_cut + pad)
+    cfg = snapped_grid_config(spec, x_lo, x_hi, t_meas, dx_target)
     return cfg, x_cut, t_meas
 
 
 def barrier_transmission_norm(spec: GaussianPacketSpec, v0: float, length: float,
-                              time_factor: float = 4.0,
-                              dx_levels: tuple[float, float] = (0.25, 0.125),
-                              margin_sigma: float = 5.0) -> float:
+                              time_factor: float = 4.0) -> float:
     """Late-time transmitted norm from the grid solver.
 
-    Runs the barrier scattering at two grid resolutions and Richardson-
+    Runs the barrier scattering at dx = 0.25 and 0.125 and Richardson-
     extrapolates the second-order interface error away; the coarse/fine pair
     costs a fraction of one sufficiently fine run.  ``time_factor`` is chosen
     late enough that slow near-turning-point components have cleared the
     measurement cut.
     """
-    dx_coarse, dx_fine = dx_levels
-    if not dx_fine * 2 == dx_coarse:
-        raise ValueError("dx_levels must be a (dx, dx/2) pair")
     pot = PiecewisePotential.square_barrier(v0, length)
     norms = []
-    for dx in dx_levels:
+    for dx in (0.25, 0.125):
         cfg, x_cut, _ = barrier_oracle_config(spec, length, dx_target=dx,
-                                              time_factor=time_factor,
-                                              margin_sigma=margin_sigma)
+                                              time_factor=time_factor)
         res = crank_nicolson_evolve(spec, pot, cfg)
         norms.append(transmitted_norm(res, x_cut))
     return (4.0 * norms[1] - norms[0]) / 3.0
 
 
-def time_potential_solution(spec: GaussianPacketSpec, vt, x, t: float,
-                            t0: float = 0.0, n_p: int = 4097,
-                            n_sigma: float = 12.0, n_quad: int = 4097):
-    """Wave function under a spatially uniform time-dependent potential.
+def time_potential_solution(spec: GaussianPacketSpec, vt, x, t: float):
+    """Wave function at time t under a spatially uniform potential V(t).
 
-    psi(x|t) = exp(-i Integral V dt' / hbar) * free packet evolution,
-    evaluated as a momentum quadrature: the uniform potential commutes with
-    everything and contributes only the global phase.  ``vt`` is either a
-    callable V(t) or a (times, values) table covering [t0, t].
+    psi(x|t) = exp(-i Integral_0^t V dt' / hbar) * free packet evolution,
+    evaluated as a 4097-point momentum quadrature over p_i +/- 12 sigma_p:
+    the uniform potential commutes with everything and contributes only the
+    global phase (itself a 4097-point trapezoid rule).  ``vt`` is either a
+    callable V(t) or a (times, values) table covering [0, t].
     """
-    if t < t0:
-        raise ValueError("t must be >= t0")
-    tt = np.linspace(t0, t, n_quad)
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+    n = 4097
+    tt = np.linspace(0.0, t, n)
     if callable(vt):
         vv = np.asarray([vt(float(s)) for s in tt], dtype=float)
     else:
         tab_t, tab_v = (np.asarray(a, dtype=float) for a in vt)
-        if tab_t[0] > t0 or tab_t[-1] < t:
-            raise ValueError("tabulated potential does not cover [t0, t]")
+        if tab_t[0] > 0.0 or tab_t[-1] < t:
+            raise ValueError("tabulated potential does not cover [0, t]")
         vv = np.interp(tt, tab_t, tab_v)
-    v_phase = np.trapezoid(vv, tt) if t > t0 else 0.0
+    v_phase = np.trapezoid(vv, tt) if t > 0.0 else 0.0
 
     hbar, m = spec.hbar, spec.m
-    p = np.linspace(spec.p_i - n_sigma * spec.sigma_p,
-                    spec.p_i + n_sigma * spec.sigma_p, n_p)
+    p = np.linspace(spec.p_i - 12.0 * spec.sigma_p, spec.p_i + 12.0 * spec.sigma_p, n)
     dp = p[1] - p[0]
     amp = psi_momentum(spec, p)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     kern = np.exp(1j * np.outer(x_arr, p) / hbar
-                  - 1j * np.outer(np.full_like(x_arr, t - t0), p**2) / (2.0 * m * hbar))
-    w = np.ones(n_p)
-    w[0] = w[-1] = 0.5
-    psi = (kern @ (amp * w)) * dp / np.sqrt(2.0 * np.pi * hbar)
+                  - 1j * np.outer(np.full_like(x_arr, t), p**2) / (2.0 * m * hbar))
+    psi = (kern @ (amp * _trapezoid_weights(n))) * dp / np.sqrt(2.0 * np.pi * hbar)
     psi = psi * np.exp(-1j * v_phase / hbar)
     return psi[0] if np.ndim(x) == 0 else psi

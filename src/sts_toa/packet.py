@@ -3,23 +3,19 @@
 The space-conditional state at the reference point x0 = 0 is seeded from the
 ordinary momentum wave function under the working hypothesis that the
 arrival-momentum amplitude equals the ordinary momentum amplitude
-(``InitialAmplitudeRule.MATCH_STANDARD_QM``).  The alternative (unequal
-amplitudes) is left as a documented, unimplemented variant: no operational
-procedure to obtain it independently is known.
+("match-standard-qm").  The alternative (unequal amplitudes) is not
+implemented: no operational procedure to obtain it independently is known.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .numerics import EnergyGrid
 
 __all__ = [
-    "Branch",
-    "InitialAmplitudeRule",
     "GaussianPacketSpec",
     "SpectralAmplitude",
     "psi_position",
@@ -27,19 +23,6 @@ __all__ = [
     "sc_initial_amplitude",
     "default_energy_grid",
 ]
-
-
-class Branch(Enum):
-    """Sign component of the two-component space-conditional state."""
-
-    PLUS = +1
-    MINUS = -1
-
-
-class InitialAmplitudeRule(Enum):
-    MATCH_STANDARD_QM = "match-standard-qm"
-    # Placeholder documenting the untestable alternative; selecting it raises.
-    INDEPENDENT = "independent"
 
 
 @dataclass(frozen=True)
@@ -69,15 +52,14 @@ class GaussianPacketSpec:
 
 @dataclass(frozen=True)
 class SpectralAmplitude:
-    """Complex amplitude per energy-grid sample on one sign branch.
+    """Complex amplitude per energy-grid sample of the forward-moving state.
 
     ``anchor_x`` is the detector position at which the amplitudes are defined.
     ``m`` and ``hbar`` ride along so downstream translations need no extra
-    context.  The MINUS branch is identically zero in the transmitted-particle
-    workflows and is simply never constructed there.
+    context.  A reflected (backward-moving) component is identically zero in
+    the transmitted-particle workflows and is not represented.
     """
 
-    branch: Branch
     values: np.ndarray
     anchor_x: float
     egrid: EnergyGrid
@@ -111,36 +93,28 @@ def psi_momentum(spec: GaussianPacketSpec, P):
     return (2.0 * d**2 / np.pi) ** 0.25 * np.exp(-(d * (P - spec.p_i)) ** 2 - 1j * P * spec.x_i)
 
 
-def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid,
-                         rule: InitialAmplitudeRule = InitialAmplitudeRule.MATCH_STANDARD_QM,
-                         ) -> SpectralAmplitude:
+def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> SpectralAmplitude:
     """Energy-domain amplitude of the space-conditional state at x0 = 0.
 
     On the positive-energy grid this is (m/2E)^(1/4) psi_momentum(sqrt(2 m E));
     the step function at E = 0 is honored by construction since the grid never
-    reaches E <= 0.  Returns the PLUS branch; the MINUS branch is zero for a
-    positive-momentum packet.
+    reaches E <= 0.  Only the forward component is returned; the reflected
+    one is zero for a positive-momentum packet.
     """
-    if rule is not InitialAmplitudeRule.MATCH_STANDARD_QM:
-        raise NotImplementedError(
-            "only the match-standard-qm initial amplitude is implemented; no "
-            "operational procedure for an independent arrival-momentum "
-            "amplitude is available")
     E = egrid.samples
     P = np.sqrt(2.0 * spec.m * E)
     values = (spec.m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
-    return SpectralAmplitude(Branch.PLUS, values, anchor_x=0.0, egrid=egrid,
+    return SpectralAmplitude(values, anchor_x=0.0, egrid=egrid,
                              m=spec.m, hbar=spec.hbar)
 
 
 E_FLOOR = 1e-9  # lowest admissible grid energy; (m/2E)^(1/4) blows up at 0
 
 
-def default_energy_grid(spec: GaussianPacketSpec, n: int = 2**14,
-                        n_sigma: float = 10.0) -> EnergyGrid:
-    """Energy window covering p_i +/- n_sigma momentum widths, mapped to E = P^2/2m."""
-    p_lo = spec.p_i - n_sigma * spec.sigma_p
-    p_hi = spec.p_i + n_sigma * spec.sigma_p
+def default_energy_grid(spec: GaussianPacketSpec) -> EnergyGrid:
+    """2**14 energies covering p_i +/- 10 momentum widths, mapped to E = P^2/2m."""
+    p_lo = spec.p_i - 10.0 * spec.sigma_p
+    p_hi = spec.p_i + 10.0 * spec.sigma_p
     e_lo = max(E_FLOOR, p_lo**2 / (2.0 * spec.m)) if p_lo > 0 else E_FLOOR
     e_hi = p_hi**2 / (2.0 * spec.m)
-    return EnergyGrid(e_lo, e_hi, n)
+    return EnergyGrid(e_lo, e_hi, 2**14)

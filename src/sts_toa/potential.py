@@ -17,8 +17,7 @@ import numpy as np
 from .errors import BoundaryAmbiguity
 from .numerics import complex_sqrt_2m
 
-__all__ = ["Segment", "PiecewisePotential", "PhaseIntegralResult",
-           "phase_integral", "local_momentum"]
+__all__ = ["Segment", "PiecewisePotential", "phase_theta", "local_momentum"]
 
 
 class Segment(NamedTuple):
@@ -78,29 +77,14 @@ class PiecewisePotential:
         return out
 
 
-@dataclass(frozen=True)
-class PhaseIntegralResult:
-    """Accumulated complex phase theta = integral sqrt(2m[E-V]) dx' / hbar.
-
-    ``real_part`` is the oscillatory phase, ``evanescent_decay`` the positive
-    decay exponent accumulated in forbidden regions (nonnegative whenever the
-    integration runs in the +x direction).  theta may be an array when E is.
-    """
-
-    theta: np.ndarray | complex
-
-    @property
-    def real_part(self):
-        return np.real(self.theta)
-
-    @property
-    def evanescent_decay(self):
-        return np.imag(self.theta)
-
-
 def phase_theta(pot: PiecewisePotential, E, m: float, hbar: float,
                 x0: float, x: float):
-    """Complex theta(E; x0 -> x); E may be an array. Exact segment sum."""
+    """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx' / hbar.
+
+    Exact segment sum; E may be an array.  The real part is the oscillatory
+    phase, the imaginary part the decay exponent accumulated in forbidden
+    regions (nonnegative for x > x0).  Reversing x0 and x flips the sign.
+    """
     if x == x0:
         return np.zeros_like(np.asarray(E, dtype=float)) * 1j if np.ndim(E) else 0j
     if x < x0:
@@ -109,12 +93,6 @@ def phase_theta(pot: PiecewisePotential, E, m: float, hbar: float,
     for length, v in pot.pieces(x0, x):
         theta = theta + length * complex_sqrt_2m(E, v, m) / hbar
     return theta
-
-
-def phase_integral(pot: PiecewisePotential, E, m: float, hbar: float,
-                   x0: float, x: float) -> PhaseIntegralResult:
-    """Phase integral over [x0, x] (either order; reversal flips the sign)."""
-    return PhaseIntegralResult(phase_theta(pot, E, m, hbar, x0, x))
 
 
 def local_momentum(pot: PiecewisePotential, E: float, m: float, x: float):

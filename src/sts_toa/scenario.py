@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid
-from .oracle import GridSolverConfig, crank_nicolson_evolve, flux_toa
+from .oracle import crank_nicolson_evolve, flux_toa, snapped_grid_config
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
@@ -67,6 +67,17 @@ def _require(dct, key, typ, field_name):
     return val
 
 
+def _build(field_name, make):
+    """Call ``make()``; a ValueError it raises becomes a ConfigError naming
+    ``field_name``."""
+    try:
+        return make()
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description (see module docstring for the schema)."""
@@ -91,8 +102,8 @@ class ScenarioConfig:
             raise ConfigError("method", "must be 'closed' or 'slices:<n>'")
         if self.method.startswith("slices:") and int(self.method.split(":")[1]) < 1:
             raise ConfigError("method", "slice count must be >= 1")
-        if self.barrier_length < 0:
-            raise ConfigError("barrier.length", "must be nonnegative")
+        if not self.barrier_length > 0:
+            raise ConfigError("barrier.length", "must be > 0")
         if not self.v0_list:
             raise ConfigError("barrier.v0", "at least one barrier height is required")
         needs_transmission = {"sts", "kijowski_transmitted"} & set(self.models)
@@ -100,6 +111,10 @@ class ScenarioConfig:
             raise ConfigError("detector_x",
                               "detector must sit beyond the barrier end for "
                               "transmitted-packet models")
+        if "sts" in self.models and not self.packet.in_scattering_regime():
+            raise ConfigError("packet",
+                              "the sts model needs a packet in the scattering "
+                              "regime: x_i + 5 delta <= 0 and p_i - 5 sigma_p > 0")
         if self.initial_amplitude != "match-standard-qm":
             raise ConfigError("initial_amplitude",
                               "only 'match-standard-qm' is implemented")
@@ -133,18 +148,12 @@ class ScenarioConfig:
             raise ConfigError(sorted(unknown)[0], "unknown field")
 
         pk = _require(raw, "packet", dict, "packet")
-        try:
-            packet = GaussianPacketSpec(
-                x_i=_require(pk, "x_i", float, "packet.x_i"),
-                p_i=_require(pk, "p_i", float, "packet.p_i"),
-                delta=_require(pk, "delta", float, "packet.delta"),
-                m=float(pk.get("m", 1.0)),
-                hbar=float(pk.get("hbar", 1.0)),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("packet", str(exc)) from exc
+        packet = _build("packet", lambda: GaussianPacketSpec(
+            x_i=_require(pk, "x_i", float, "packet.x_i"),
+            p_i=_require(pk, "p_i", float, "packet.p_i"),
+            delta=_require(pk, "delta", float, "packet.delta"),
+            m=float(pk.get("m", 1.0)),
+            hbar=float(pk.get("hbar", 1.0))))
 
         br = _require(raw, "barrier", dict, "barrier")
         v0_raw = br.get("v0", 0.0)
@@ -158,26 +167,18 @@ class ScenarioConfig:
         length = _require(br, "length", float, "barrier.length")
 
         tg = _require(raw, "tgrid", dict, "tgrid")
-        try:
-            tgrid = TimeGrid(t_min=_require(tg, "t_min", float, "tgrid.t_min"),
-                             t_max=_require(tg, "t_max", float, "tgrid.t_max"),
-                             n=_require(tg, "n", int, "tgrid.n"))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("tgrid", str(exc)) from exc
+        tgrid = _build("tgrid", lambda: TimeGrid(
+            t_min=_require(tg, "t_min", float, "tgrid.t_min"),
+            t_max=_require(tg, "t_max", float, "tgrid.t_max"),
+            n=_require(tg, "n", int, "tgrid.n")))
 
         egrid = None
         if raw.get("egrid") is not None:
             eg = _require(raw, "egrid", dict, "egrid")
-            try:
-                egrid = EnergyGrid(e_min=_require(eg, "e_min", float, "egrid.e_min"),
-                                   e_max=_require(eg, "e_max", float, "egrid.e_max"),
-                                   n=_require(eg, "n", int, "egrid.n"))
-            except ValueError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError("egrid", str(exc)) from exc
+            egrid = _build("egrid", lambda: EnergyGrid(
+                e_min=_require(eg, "e_min", float, "egrid.e_min"),
+                e_max=_require(eg, "e_max", float, "egrid.e_max"),
+                n=_require(eg, "n", int, "egrid.n")))
 
         models = raw.get("models", list(FIG2_PRESET["models"]))
         if not isinstance(models, list) or not all(isinstance(mn, str) for mn in models):
@@ -199,10 +200,6 @@ class ScenarioConfig:
         if not isinstance(raw, dict):
             raise ConfigError("<json>", "top-level value must be an object")
         return cls.from_dict(raw)
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     def to_dict(self) -> dict:
         return {
@@ -267,20 +264,11 @@ def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
     wall reflections never reach the detector inside the time window.
     """
     spec = cfg.packet
-    dx = 0.125    # probe-derivative accuracy is O(dx^4); 0.25 visibly biases the integral
     absorber = 30.0
-    # keep detector and barrier edges on the grid: walls at multiples of dx
-    span_l = spec.x_i - 6.0 * spec.delta - absorber
-    span_r = cfg.detector_x + 8.0 * spec.delta + absorber
-    x_min = np.floor(span_l / dx) * dx
-    x_max = np.ceil(span_r / dx) * dx
-    n_x = int(round((x_max - x_min) / dx)) + 1
-    t_final = cfg.tgrid.t_max
-    dt_bound = spec.m * dx**2 / spec.hbar
-    n_steps = int(np.ceil(t_final / (0.8 * dt_bound)))
-    solver = GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=n_x,
-                              dt=t_final / n_steps, t_final=t_final,
-                              absorber_width=absorber)
+    # probe-derivative accuracy is O(dx^4); dx = 0.25 visibly biases the integral
+    solver = snapped_grid_config(spec, spec.x_i - 6.0 * spec.delta - absorber,
+                                 cfg.detector_x + 8.0 * spec.delta + absorber,
+                                 cfg.tgrid.t_max, 0.125, absorber_width=absorber)
     pot = (PiecewisePotential.free() if v0 == 0.0
            else PiecewisePotential.square_barrier(v0, cfg.barrier_length))
     result = crank_nicolson_evolve(spec, pot, solver, probe_x=(cfg.detector_x,))

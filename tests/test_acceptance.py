@@ -187,7 +187,7 @@ def test_criterion_11_time_dependent_potential_symmetry(report):
                                 vt=lambda t: 0.05 * t)
     mask = (res.x > -40.0) & (res.x < 0.0)
     ref = time_potential_solution(spec, lambda t: 0.05 * t, res.x[mask], 10.0)
-    d_cn = float(np.max(np.abs(res.snapshots[-1][mask] - ref)))
+    d_cn = float(np.max(np.abs(res.psi_final[mask] - ref)))
 
     ok = d_const < 1e-12 and d_cn < 1e-5
     report(11, "uniform V(t) is a pure phase", ok,

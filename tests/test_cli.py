@@ -45,6 +45,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("cfg, field", [
+        ({"preset": "fig2", "packet": {"x_i": -10.0}}, "packet"),
+        ({"preset": "fig2", "barrier": {"v0": [1.8], "length": 0.0}},
+         "barrier.length"),
+        ({"preset": "fig2", "barrier": {"v0": [1.8], "length": 0.0},
+          "models": ["flux_oracle"]}, "barrier.length"),
+        ({"preset": "fig2", "initial_amplitude": "independent"},
+         "initial_amplitude"),
+    ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
+            "independent-amplitude"])
+    def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2 and f"config error: {field}:" in err
+
 
 class TestSubcommands:
     def test_free_toa_mean_near_classical(self, capsys):

@@ -1,0 +1,24 @@
+"""Every library module's ``__all__`` lists the public functions and classes
+the module defines, and every name in it resolves."""
+
+import importlib
+import inspect
+
+import pytest
+
+MODULES = ("sts_toa", "sts_toa.errors", "sts_toa.numerics", "sts_toa.potential",
+           "sts_toa.packet", "sts_toa.evolution", "sts_toa.kijowski",
+           "sts_toa.oracle", "sts_toa.scenario", "sts_toa.svgplot")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_matches_public_definitions(name):
+    mod = importlib.import_module(name)
+    exported = set(mod.__all__)
+    defined = {attr for attr, obj in vars(mod).items()
+               if not attr.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == name}
+    assert not defined - exported, f"public but not in __all__: {defined - exported}"
+    unresolved = {n for n in exported if not hasattr(mod, n)}
+    assert not unresolved, f"__all__ names that do not resolve: {unresolved}"

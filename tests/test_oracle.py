@@ -53,7 +53,7 @@ class TestCrankNicolson:
         assert free_run.norms[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_free_center_follows_classical_path(self, spec, free_run):
-        psi = free_run.snapshots[-1]
+        psi = free_run.psi_final
         dx = free_run.x[1] - free_run.x[0]
         center = dx * np.sum(free_run.x * np.abs(psi) ** 2)
         expect = spec.x_i + spec.p_i / spec.m * free_run.times[-1]
@@ -121,7 +121,7 @@ class TestTimePotential:
         res = crank_nicolson_evolve(self.SPEC, PiecewisePotential.free(), self.CFG)
         xs, mask = self._sample_points(res)
         psi_ref = time_potential_solution(self.SPEC, lambda t: 0.0, xs, 10.0)
-        assert np.max(np.abs(res.snapshots[-1][mask] - psi_ref)) < 1e-6
+        assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-6
 
     def test_tabulated_ramp_matches_grid_solver(self):
         times = np.linspace(0.0, 10.0, 101)
@@ -130,7 +130,7 @@ class TestTimePotential:
                                     self.CFG, vt=lambda t: 0.05 * t)
         xs, mask = self._sample_points(res)
         psi_ref = time_potential_solution(self.SPEC, table, xs, 10.0)
-        assert np.max(np.abs(res.snapshots[-1][mask] - psi_ref)) < 1e-5
+        assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-5
 
     def test_table_must_cover_window(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sts_toa.numerics import EnergyGrid
-from sts_toa.packet import (GaussianPacketSpec, InitialAmplitudeRule,
-                            SpectralAmplitude, Branch, default_energy_grid,
-                            psi_momentum, psi_position, sc_initial_amplitude)
+from sts_toa.packet import (GaussianPacketSpec, SpectralAmplitude,
+                            default_energy_grid, psi_momentum, psi_position,
+                            sc_initial_amplitude)
 
 
 class TestSpec:
@@ -74,10 +74,6 @@ class TestInitialAmplitude:
         amps = sc_initial_amplitude(spec, g)
         assert np.all(np.isfinite(amps.values))
 
-    def test_unequal_amplitude_rule_not_implemented(self, spec, egrid):
-        with pytest.raises(NotImplementedError):
-            sc_initial_amplitude(spec, egrid, rule=InitialAmplitudeRule.INDEPENDENT)
-
     def test_default_grid_brackets_packet(self, spec):
         g = default_energy_grid(spec)
         e0 = spec.p_i**2 / (2.0 * spec.m)
@@ -90,10 +86,10 @@ class TestSpectralAmplitude:
         vals = np.ones(egrid.n, dtype=complex)
         vals[3] = np.nan
         with pytest.raises(ValueError):
-            SpectralAmplitude(Branch.PLUS, vals, anchor_x=0.0, egrid=egrid,
+            SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid,
                               m=1.0, hbar=1.0)
 
     def test_rejects_shape_mismatch(self, egrid):
         with pytest.raises(ValueError):
-            SpectralAmplitude(Branch.PLUS, np.ones(7, dtype=complex),
+            SpectralAmplitude(np.ones(7, dtype=complex),
                               anchor_x=0.0, egrid=egrid, m=1.0, hbar=1.0)

@@ -14,8 +14,7 @@ from .errors import (BoundaryAmbiguity, ConfigError, DivergenceWarning,
 from .evolution import (TOADistribution, barrier_toa, free_kijowski,
                         propagate_closed_form, propagate_slices, toa_density)
 from .kijowski import model_distance, transmission_amplitude, transmitted_kijowski
-from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
-                       fourier_t_to_E)
+from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      psi_momentum, psi_position, sc_initial_amplitude)
 from .potential import PiecewisePotential, phase_theta
@@ -30,8 +29,8 @@ __all__ = [
     "ResonancePole", "ScenarioConfig", "ScenarioResult", "SpectralAmplitude",
     "SweepPoint", "TOADistribution", "TimeGrid", "UnstableConfig",
     "ZeroArrival", "barrier_toa", "complex_sqrt_2m", "default_energy_grid",
-    "emit_csv", "emit_svg", "fourier_E_to_t", "fourier_t_to_E",
-    "free_kijowski", "model_distance", "phase_theta", "propagate_closed_form",
+    "emit_csv", "emit_svg", "fourier_E_to_t", "free_kijowski",
+    "model_distance", "phase_theta", "propagate_closed_form",
     "propagate_slices", "psi_momentum", "psi_position", "run_scenario",
     "sc_initial_amplitude", "toa_density", "transmission_amplitude",
     "transmitted_kijowski",

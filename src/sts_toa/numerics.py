@@ -1,13 +1,14 @@
-"""Grids, the complex square-root branch policy, and energy<->time transforms.
+"""Grids, the complex square-root branch policy, and the energy->time transform.
 
 The oscillatory transform
 
     f(t) = (2*pi*hbar)**-0.5 * integral dE a(E) exp(-i E t / hbar)
 
 is evaluated on uniform grids either by direct (chunked) trapezoid
-quadrature or by a chirp-z transform.  Both paths apply identical trapezoid
-end weights, so they approximate the same Riemann sum and agree to rounding
-error; the direct path is kept permanently as a validation oracle.
+quadrature or by Bluestein's chirp-z algorithm on ``numpy.fft``.  Both paths
+apply identical trapezoid end weights, so they approximate the same Riemann
+sum and agree to rounding error; the direct path is kept permanently as a
+validation oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import GridTooCoarse
 
@@ -25,7 +25,6 @@ __all__ = [
     "complex_sqrt_2m",
     "trapezoid_complex",
     "fourier_E_to_t",
-    "fourier_t_to_E",
 ]
 
 
@@ -113,6 +112,23 @@ def _check_nyquist(egrid: EnergyGrid, tgrid: TimeGrid, hbar: float):
         )
 
 
+def _chirp_z(x, m: int, theta: float, phi: float) -> np.ndarray:
+    """sum_j x_j exp(i (phi + k theta) j) for k < m, by Bluestein's algorithm:
+    jk = (j^2 + k^2 - (k - j)^2) / 2 makes it a convolution with a chirp, done
+    by FFTs of the smallest power-of-two length >= n + m - 1.  The chirp's
+    phase is computed from theta: a power of exp(i theta) would amplify that
+    factor's rounding error by j^2."""
+    n = x.shape[-1]
+    size = 1 << (n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * theta * j**2)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    y = np.fft.fft(x * np.exp(1j * phi * j[:n]) * chirp[:n], size)
+    return np.fft.ifft(y * np.fft.fft(kernel))[:m] * chirp[:m]
+
+
 def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid, hbar: float = 1.0,
                    method: str = "fft") -> np.ndarray:
     """Transform an energy-sampled amplitude to the time domain.
@@ -141,37 +157,8 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid, hbar: float = 1.0,
             out[i:i + step] = kern @ weighted
         return out * norm
     if method == "fft":
-        # sum_j a_j exp(-i E_j t_k / hbar) as a chirp-z transform:
-        #   z_k = A W^-k with A = exp(i dE t0 / hbar), W = exp(-i dE dt / hbar)
-        a = np.exp(1j * egrid.spacing * tgrid.t_min / hbar)
-        w = np.exp(-1j * egrid.spacing * tgrid.spacing / hbar)
-        out = czt(weighted, m=tgrid.n, w=w, a=a)
-        out *= np.exp(-1j * egrid.e_min * t / hbar)
-        return out * norm
-    raise ValueError(f"unknown method {method!r}")
-
-
-def fourier_t_to_E(series, tgrid: TimeGrid, egrid: EnergyGrid, hbar: float = 1.0,
-                   method: str = "fft") -> np.ndarray:
-    """Inverse transform: (2*pi*hbar)**-0.5 * integral dt f(t) exp(+i E t / hbar)."""
-    values = np.asarray(series, dtype=complex)
-    if values.shape != (tgrid.n,):
-        raise ValueError(f"series shape {values.shape} does not match grid ({tgrid.n},)")
-    _check_nyquist(egrid, tgrid, hbar)
-
-    weighted = values * _trapezoid_weights(tgrid.n)
-    norm = tgrid.spacing / np.sqrt(2.0 * np.pi * hbar)
-    if method == "direct":
-        out = np.empty(egrid.n, dtype=complex)
-        step = max(1, 2**22 // tgrid.n)
-        for i in range(0, egrid.n, step):
-            kern = np.exp(1j * np.outer(egrid.samples[i:i + step], tgrid.samples) / hbar)
-            out[i:i + step] = kern @ weighted
-        return out * norm
-    if method == "fft":
-        a = np.exp(-1j * tgrid.spacing * egrid.e_min / hbar)
-        w = np.exp(1j * tgrid.spacing * egrid.spacing / hbar)
-        out = czt(weighted, m=egrid.n, w=w, a=a)
-        out *= np.exp(1j * tgrid.t_min * egrid.samples / hbar)
-        return out * norm
+        # sum_j a_j exp(-i (E_j - e_min) t_k / hbar); the e_min phase follows
+        out = _chirp_z(weighted, tgrid.n, -egrid.spacing * tgrid.spacing / hbar,
+                       -egrid.spacing * tgrid.t_min / hbar)
+        return out * np.exp(-1j * egrid.e_min * t / hbar) * norm
     raise ValueError(f"unknown method {method!r}")

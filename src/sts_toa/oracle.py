@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import UnstableConfig
 from .numerics import _trapezoid_weights
@@ -197,6 +196,8 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     midpoint.  ``probe_x`` grid points are recorded at every step; of the
     full wave function only the final state is kept.
     """
+    # imported here so that the rest of the package loads without SciPy
+    from scipy.linalg import solve_banded
     cfg.validate(spec)
     x = cfg.x
     dx = cfg.dx

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,10 @@ _CSV_HEADER = "t,rho_sts,rho_kijowski_transmitted,rho_kijowski_free,flux"
 
 _METHOD_RE = re.compile(r"^(closed|slices:(\d+))$")
 
+# caps on array sizes; 2**20 is 32x the largest grid any test or benchmark uses
+_MAX_SLICES = 100_000
+_MAX_GRID_POINTS = 2**20
+
 # Expanded form of the reference figure: barrier sweep over four heights,
 # detector well past the barrier, time window wide enough for the slow
 # over-barrier components.
@@ -56,14 +61,25 @@ FIG2_PRESET = {
 PRESETS = {"fig2": FIG2_PRESET}
 
 
-def _require(dct, key, typ, field_name):
+def _finite_float(val, field_name):
+    """``val`` as a finite float, or a ConfigError naming ``field_name``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(field_name, f"expected float, got {type(val).__name__}")
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities, ints past the range
+        raise ConfigError(field_name, "must be a finite number")
+    return float(val)
+
+
+def _require(dct, key, typ, field_name, at_most=None):
     if key not in dct:
         raise ConfigError(field_name, "missing required field")
     val = dct[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    if typ is float:
+        return _finite_float(val, field_name)
     if not isinstance(val, typ):
         raise ConfigError(field_name, f"expected {typ.__name__}, got {type(val).__name__}")
+    if at_most is not None and val > at_most:
+        raise ConfigError(field_name, f"must be <= {at_most}, got {val}")
     return val
 
 
@@ -100,8 +116,8 @@ class ScenarioConfig:
             raise ConfigError("models", "at least one model is required")
         if not _METHOD_RE.match(self.method):
             raise ConfigError("method", "must be 'closed' or 'slices:<n>'")
-        if self.method.startswith("slices:") and int(self.method.split(":")[1]) < 1:
-            raise ConfigError("method", "slice count must be >= 1")
+        if self.n_slices is not None and not 1 <= self.n_slices <= _MAX_SLICES:
+            raise ConfigError("method", f"slice count must be in [1, {_MAX_SLICES}]")
         if not self.barrier_length > 0:
             raise ConfigError("barrier.length", "must be > 0")
         if not self.v0_list:
@@ -121,9 +137,8 @@ class ScenarioConfig:
 
     @property
     def n_slices(self) -> int | None:
-        if self.method == "closed":
-            return None
-        return int(self.method.split(":")[1])
+        n = _METHOD_RE.match(self.method).group(2)
+        return None if n is None else int(n)
 
     def energy_grid(self) -> EnergyGrid:
         return self.egrid if self.egrid is not None else default_energy_grid(self.packet)
@@ -152,25 +167,20 @@ class ScenarioConfig:
             x_i=_require(pk, "x_i", float, "packet.x_i"),
             p_i=_require(pk, "p_i", float, "packet.p_i"),
             delta=_require(pk, "delta", float, "packet.delta"),
-            m=float(pk.get("m", 1.0)),
-            hbar=float(pk.get("hbar", 1.0))))
+            m=_require(pk, "m", float, "packet.m") if "m" in pk else 1.0,
+            hbar=_require(pk, "hbar", float, "packet.hbar") if "hbar" in pk else 1.0))
 
         br = _require(raw, "barrier", dict, "barrier")
         v0_raw = br.get("v0", 0.0)
-        if isinstance(v0_raw, (int, float)) and not isinstance(v0_raw, bool):
-            v0_list = (float(v0_raw),)
-        elif isinstance(v0_raw, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in v0_raw):
-            v0_list = tuple(float(v) for v in v0_raw)
-        else:
-            raise ConfigError("barrier.v0", "expected a number or a list of numbers")
+        v0_list = tuple(_finite_float(v, "barrier.v0")
+                        for v in (v0_raw if isinstance(v0_raw, list) else [v0_raw]))
         length = _require(br, "length", float, "barrier.length")
 
         tg = _require(raw, "tgrid", dict, "tgrid")
         tgrid = _build("tgrid", lambda: TimeGrid(
             t_min=_require(tg, "t_min", float, "tgrid.t_min"),
             t_max=_require(tg, "t_max", float, "tgrid.t_max"),
-            n=_require(tg, "n", int, "tgrid.n")))
+            n=_require(tg, "n", int, "tgrid.n", _MAX_GRID_POINTS)))
 
         egrid = None
         if raw.get("egrid") is not None:
@@ -178,7 +188,7 @@ class ScenarioConfig:
             egrid = _build("egrid", lambda: EnergyGrid(
                 e_min=_require(eg, "e_min", float, "egrid.e_min"),
                 e_max=_require(eg, "e_max", float, "egrid.e_max"),
-                n=_require(eg, "n", int, "egrid.n")))
+                n=_require(eg, "n", int, "egrid.n", _MAX_GRID_POINTS)))
 
         models = raw.get("models", list(FIG2_PRESET["models"]))
         if not isinstance(models, list) or not all(isinstance(mn, str) for mn in models):

@@ -53,8 +53,21 @@ class TestExitCodes:
           "models": ["flux_oracle"]}, "barrier.length"),
         ({"preset": "fig2", "initial_amplitude": "independent"},
          "initial_amplitude"),
+        ({"preset": "fig2", "packet": {"m": None}}, "packet.m"),
+        ({"preset": "fig2", "packet": {"hbar": [1]}}, "packet.hbar"),
+        ({"preset": "fig2", "packet": {"x_i": float("-inf")}}, "packet.x_i"),
+        ({"preset": "fig2", "barrier": {"v0": [float("nan")]}}, "barrier.v0"),
+        ({"preset": "fig2", "barrier": {"v0": [10**400]}}, "barrier.v0"),
+        ({"preset": "fig2", "method": "slices:99999999999"}, "method"),
+        ({"preset": "fig2",
+          "tgrid": {"t_min": 0.0, "t_max": 150.0, "n": 100_000_000_000}},
+         "tgrid.n"),
+        ({"preset": "fig2",
+          "egrid": {"e_min": 0.5, "e_max": 4.0, "n": 100_000_000_000}},
+         "egrid.n"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
-            "independent-amplitude"])
+            "independent-amplitude", "mass-null", "hbar-list", "x_i-infinite",
+            "v0-nan", "v0-int-past-float-range", "huge-slice-count", "huge-tgrid", "huge-egrid"])
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

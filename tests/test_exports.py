@@ -1,10 +1,17 @@
 """Every library module's ``__all__`` lists the public functions and classes
-the module defines, and every name in it resolves."""
+the module defines, and every name in it resolves; importing the package
+loads no SciPy module."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sts_toa
 
 MODULES = ("sts_toa", "sts_toa.errors", "sts_toa.numerics", "sts_toa.potential",
            "sts_toa.packet", "sts_toa.evolution", "sts_toa.kijowski",
@@ -22,3 +29,15 @@ def test_all_matches_public_definitions(name):
     assert not defined - exported, f"public but not in __all__: {defined - exported}"
     unresolved = {n for n in exported if not hasattr(mod, n)}
     assert not unresolved, f"__all__ names that do not resolve: {unresolved}"
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(sts_toa.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sts_toa; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from sts_toa.errors import GridTooCoarse
 from sts_toa.numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m,
-                              fourier_E_to_t, fourier_t_to_E, trapezoid_complex)
+                              fourier_E_to_t, trapezoid_complex)
 
 
 class TestGrids:
@@ -84,21 +84,20 @@ class TestFourier:
         e = self.egrid.samples
         return np.exp(-((e - 2.0) / 0.1) ** 2).astype(complex)
 
-    def test_fft_matches_direct(self):
+    # equal sizes; more times than energies; odd sizes; n_E + n_t - 1 one past
+    # a power of two, where Bluestein's convolution pads to nearly twice that
+    @pytest.mark.parametrize("n_e, n_t", [(4096, 4096), (4096, 8192),
+                                          (4097, 1023), (4097, 4097)])
+    def test_fft_matches_direct(self, n_e, n_t):
+        egrid = EnergyGrid(1.0, 3.0, n_e)
+        tgrid = TimeGrid(-200.0, 200.0, n_t)
         rng = np.random.default_rng(3)
-        e = self.egrid.samples
+        e = egrid.samples
         a = (np.exp(-((e - 2.0) / 0.3) ** 2)
              * np.exp(1j * np.polyval(rng.normal(size=3), e)))
-        fft = fourier_E_to_t(a, self.egrid, self.tgrid, method="fft")
-        direct = fourier_E_to_t(a, self.egrid, self.tgrid, method="direct")
+        fft = fourier_E_to_t(a, egrid, tgrid, method="fft")
+        direct = fourier_E_to_t(a, egrid, tgrid, method="direct")
         assert np.max(np.abs(fft - direct)) < 1e-8
-
-    def test_roundtrip(self):
-        a = self._gaussian_amps()
-        f = fourier_E_to_t(a, self.egrid, self.tgrid)
-        back = fourier_t_to_E(f, self.tgrid, self.egrid)
-        rel = np.linalg.norm(back - a) / np.linalg.norm(a)
-        assert rel < 1e-10
 
     def test_shift_theorem_exact_on_grid(self):
         a = self._gaussian_amps()

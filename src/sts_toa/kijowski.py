@@ -39,12 +39,22 @@ def transmission_amplitude(P, v0: float, length: float, m: float = 1.0,
     #   T = 4 P exp(-i P L / hbar)
     #       / [4 P cos(P' L / hbar) - 2 i (P^2 + P'^2) sin(P' L / hbar) / P']
     z = Pp * length / hbar
-    sin_over = np.where(np.abs(z) > 1e-6, np.sin(z) / np.where(Pp == 0, 1.0, Pp),
-                        (length / hbar) * (1.0 - z**2 / 6.0))
-    den = 4.0 * P * np.cos(z) - 2j * (P**2 + Pp**2) * sin_over
-    if np.any(np.abs(den) <= 1e-30):
-        raise ResonancePole("transmission denominator vanished")  # pragma: no cover
-    out = 4.0 * P * np.exp(-1j * P * length / hbar) / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin_over = np.where(np.abs(z) > 1e-6, np.sin(z) / np.where(Pp == 0, 1.0, Pp),
+                            (length / hbar) * (1.0 - z**2 / 6.0))
+        den = 4.0 * P * np.cos(z) - 2j * (P**2 + Pp**2) * sin_over
+        if np.any(np.abs(den) <= 1e-30):
+            raise ResonancePole("transmission denominator vanished")  # pragma: no cover
+        out = np.asarray(4.0 * P * np.exp(-1j * P * length / hbar) / den)
+    # deep below the barrier (P' L / hbar past ~710i) cos z and sin z overflow;
+    # there the first form is used, whose exp(i z) = exp(-|P'| L / hbar) only
+    # underflows
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        p, pp = np.broadcast_to(P, out.shape)[bad], Pp[bad]
+        ez = np.exp(1j * z[bad])
+        out[bad] = (4.0 * p * pp * np.exp(-1j * p * length / hbar) * ez
+                    / ((p + pp) ** 2 - ez**2 * (p - pp) ** 2))
     return complex(out) if out.ndim == 0 else out
 
 

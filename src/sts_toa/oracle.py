@@ -163,25 +163,14 @@ def _hamiltonian_diagonals(v: np.ndarray, dx: float, m: float, hbar: float):
     return d2, d1, d0
 
 
-def _banded_matvec(d2, d1, d0, psi):
-    out = d0 * psi
-    out[:-1] += d1 * psi[1:]
-    out[1:] += d1 * psi[:-1]
-    out[:-2] += d2 * psi[2:]
-    out[2:] += d2 * psi[:-2]
-    return out
-
-
-def _banded_ab(d2, d1, d0):
-    """Pack symmetric pentadiagonal diagonals into solve_banded (2,2) form."""
-    n = d0.size
-    ab = np.zeros((5, n), dtype=complex)
-    ab[0, 2:] = d2
-    ab[1, 1:] = d1
-    ab[2, :] = d0
-    ab[3, :-1] = d1
-    ab[4, :-2] = d2
-    return ab
+def _lapack_info(routine: str, info: int):
+    """Raise on a nonzero LAPACK ``info`` from the CN factor or solve."""
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine}: Crank-Nicolson step matrix is singular "
+            f"(zero pivot at diagonal {info - 1})")
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
 
 
 def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
@@ -195,9 +184,15 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     adds a spatially uniform time-dependent potential, evaluated at the step
     midpoint.  ``probe_x`` grid points are recorded at every step; of the
     full wave function only the final state is kept.
+
+    Scheme: with A = 1 + i H dt / 2 hbar, the step A psi^(n+1) = (2 - A) psi^n
+    is taken as psi^(n+1) = 2 A^-1 psi^n - psi^n (Goldberg, Schey & Schwartz,
+    Am. J. Phys. 35, 177 (1967)).  A is LU-factored once (LAPACK zgbtrf) and
+    each step is one banded solve (zgbtrs) with no product by 2 - A.  With
+    ``vt`` set, A changes every step and is re-factored.
     """
     # imported here so that the rest of the package loads without SciPy
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
     cfg.validate(spec)
     x = cfg.x
     dx = cfg.dx
@@ -219,23 +214,29 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     d2, d1, d0 = _hamiltonian_diagonals(v, dx, m, hbar)
     alpha = 1j * cfg.dt / (2.0 * hbar)
-    eye = np.ones(x.size, dtype=complex)
+    # LAPACK band storage of A (kl = ku = 2): A[i, j] sits at ab[4 + i - j, j];
+    # rows 0-1 are workspace for the fill-in of the pivoted factorisation
+    ab_off = np.zeros((7, x.size), dtype=complex)
+    ab_off[2, 2:] = ab_off[6, :-2] = alpha * d2
+    ab_off[3, 1:] = ab_off[5, :-1] = alpha * d1
 
-    def step_matrices(v_shift: float):
+    def factor(v_shift: float):
         # uniform shift only touches the interior diagonal
         shift = np.zeros(x.size, dtype=complex)
         shift[1:-1] = v_shift
-        dA0 = eye + alpha * (d0 + shift)
-        dB0 = eye - alpha * (d0 + shift)
-        return _banded_ab(alpha * d2, alpha * d1, dA0), (-alpha * d2, -alpha * d1, dB0)
+        ab = ab_off.copy()
+        ab[4] = 1.0 + alpha * (d0 + shift)
+        lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
+        _lapack_info("zgbtrf", info)
+        return lu, piv
 
     if vt is None:
-        ab_A, B_diags = step_matrices(0.0)
+        lu, piv = factor(0.0)
 
     n_steps = int(round(cfg.t_final / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     norms = np.empty(n_steps + 1)
-    norms[0] = dx * float(np.sum(np.abs(psi) ** 2))
+    norms[0] = dx * np.vdot(psi, psi).real
 
     probe_idx = [int(round((px - cfg.x_min) / dx)) for px in probe_x]
     for px, j in zip(probe_x, probe_idx):
@@ -256,10 +257,11 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     for i in range(1, n_steps + 1):
         if vt is not None:
-            ab_A, B_diags = step_matrices(float(vt(times[i - 1] + 0.5 * cfg.dt)))
-        rhs = _banded_matvec(*B_diags, psi)
-        psi = solve_banded((2, 2), ab_A, rhs)
-        norms[i] = dx * float(np.sum(np.abs(psi) ** 2))
+            lu, piv = factor(float(vt(times[i - 1] + 0.5 * cfg.dt)))
+        chi, info = zgbtrs(lu, 2, 2, psi, piv)
+        _lapack_info("zgbtrs", info)
+        psi = 2.0 * chi - psi
+        norms[i] = dx * np.vdot(psi, psi).real
         record(i, psi)
 
     return CNResult(x=x, times=times, norms=norms, psi_final=psi,

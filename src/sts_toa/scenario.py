@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
-from .numerics import EnergyGrid, TimeGrid
+from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
 from .oracle import crank_nicolson_evolve, flux_toa, snapped_grid_config
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
@@ -84,13 +84,13 @@ def _require(dct, key, typ, field_name, at_most=None):
 
 
 def _build(field_name, make):
-    """Call ``make()``; a ValueError it raises becomes a ConfigError naming
-    ``field_name``."""
+    """Call ``make()``; a ValueError or OverflowError it raises becomes a
+    ConfigError naming ``field_name``."""
     try:
         return make()
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(field_name, str(exc)) from exc
 
 
@@ -134,6 +134,36 @@ class ScenarioConfig:
         if self.initial_amplitude != "match-standard-qm":
             raise ConfigError("initial_amplitude",
                               "only 'match-standard-qm' is implemented")
+        self._check_derived_scales()
+
+    def _check_derived_scales(self):
+        """Reject finite inputs whose derived weights or phases overflow.
+
+        The pipeline forms the momenta P = sqrt(2 m E) and weights
+        (m / 2E)^(1/4) at the energy-grid ends, the packet's prefactor
+        (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x / hbar
+        and the barrier exponent sqrt(2 m (E - V0)) L / hbar; one of them
+        past the float range would end the run in non-finite amplitudes.
+        """
+        spec = self.packet
+        egrid = _build("packet", self.energy_grid)
+        with np.errstate(all="ignore"):
+            E = np.array([egrid.e_min, egrid.e_max])
+            P = np.sqrt(2.0 * spec.m * E)
+            scales = [
+                ("packet" if self.egrid is None else "egrid",
+                 "momentum sqrt(2 m E) or weight (m / 2E)^(1/4) at the grid ends",
+                 np.append(P, (spec.m / (2.0 * E)) ** 0.25)),
+                ("packet.delta", "prefactor (2 delta^2 / pi)^(1/4)",
+                 (2.0 * np.float64(spec.delta) ** 2 / np.pi) ** 0.25),
+                ("packet.x_i", "phase P x_i", P * spec.x_i),
+                ("detector_x", "phase P x / hbar", P * self.detector_x / spec.hbar),
+            ] + [("barrier.v0", f"exponent sqrt(2 m (E - V0)) L / hbar at V0 = {v0:g}",
+                  complex_sqrt_2m(E, v0, spec.m) * self.barrier_length / spec.hbar)
+                 for v0 in self.v0_list]
+        for name, what, values in scales:
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(name, f"{what} overflows a double")
 
     @property
     def n_slices(self) -> int | None:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sts_toa.cli import main
 
@@ -65,14 +66,58 @@ class TestExitCodes:
         ({"preset": "fig2",
           "egrid": {"e_min": 0.5, "e_max": 4.0, "n": 100_000_000_000}},
          "egrid.n"),
+        ({"preset": "fig2", "barrier": {"v0": [1e308]}}, "barrier.v0"),
+        ({"preset": "fig2", "detector_x": 1e308}, "detector_x"),
+        ({"preset": "fig2", "packet": {"x_i": -1e308}}, "packet.x_i"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "x_i-infinite",
-            "v0-nan", "v0-int-past-float-range", "huge-slice-count", "huge-tgrid", "huge-egrid"])
+            "v0-nan", "v0-int-past-float-range", "huge-slice-count", "huge-tgrid",
+            "huge-egrid", "v0-exponent-overflows", "detector-phase-overflows",
+            "x_i-phase-overflows"])
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
+
+
+# a numeric field takes a float-range edge, a typical value or any finite float
+_NUMBER = st.one_of(st.sampled_from([0.0, -1.0, 1e308, -1e308]),
+                    st.floats(-200.0, 200.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_N = st.integers(-1, 40)
+
+
+def _fields(**optional):
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+_CONFIGS = st.fixed_dictionaries({"preset": st.just("fig2")}, optional={
+    "packet": _fields(x_i=_NUMBER, p_i=_NUMBER, delta=_NUMBER, m=_NUMBER,
+                      hbar=_NUMBER),
+    "barrier": _fields(v0=st.lists(_NUMBER, min_size=1, max_size=2),
+                       length=_NUMBER),
+    "detector_x": _NUMBER,
+    "tgrid": st.fixed_dictionaries({"t_min": _NUMBER, "t_max": _NUMBER, "n": _N}),
+    "egrid": st.fixed_dictionaries({"e_min": _NUMBER, "e_max": _NUMBER, "n": _N}),
+    # the closed-form models only: flux_oracle runs the grid solver, which
+    # takes seconds per example
+    "models": st.lists(st.sampled_from(["sts", "kijowski_transmitted",
+                                        "kijowski_free"]), unique=True, max_size=3),
+    "method": st.sampled_from(["closed", "slices:3"]),
+})
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_CONFIGS)
+    def test_sweep_exits_0_2_or_3(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in out + err
 
 
 class TestSubcommands:

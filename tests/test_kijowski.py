@@ -43,6 +43,15 @@ class TestTransmissionAmplitude:
         T = transmission_amplitude(p_turn, v0, 10.0)
         assert np.isfinite(T) and 0 < abs(T) < 1
 
+    def test_opaque_barrier_decays_without_overflow(self):
+        # kappa L / hbar = 728 to 732: cosh overflows, exp(-kappa L) is subnormal
+        p = np.array([0.5, 1.0, 2.0])
+        kappa = np.sqrt(2.0 * 2000.0 - p**2)
+        T = transmission_amplitude(p, 2000.0, 11.5)
+        expect = 4.0 * p * kappa * np.exp(-kappa * 11.5) / (p**2 + kappa**2)
+        assert np.all(np.isfinite(T))
+        np.testing.assert_allclose(np.abs(T), expect, rtol=1e-6)
+
     def test_matches_transfer_matrix_at_reference_point(self):
         T = transmission_amplitude(2.0, 4.5, 10.0)
         T_tm, _ = transfer_matrix_T(2.0, 4.5, 10.0)

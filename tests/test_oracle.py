@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sts_toa.errors import UnstableConfig
-from sts_toa.oracle import (GridSolverConfig, crank_nicolson_evolve, flux_toa,
-                            time_potential_solution, transfer_matrix_T,
+from sts_toa.oracle import (GridSolverConfig, _lapack_info, crank_nicolson_evolve,
+                            flux_toa, time_potential_solution, transfer_matrix_T,
                             transmitted_norm)
 from sts_toa.packet import GaussianPacketSpec
 from sts_toa.potential import PiecewisePotential
@@ -40,11 +42,24 @@ class TestSolverConfig:
             cfg.validate(spec)
 
 
+FREE_GRID = GridSolverConfig(x_min=-152.0, x_max=64.0, n_x=865,
+                             dt=0.05, t_final=20.0)
+
+
 @pytest.fixture(scope="module")
 def free_run(spec):
-    cfg = GridSolverConfig(x_min=-152.0, x_max=64.0, n_x=865,
-                           dt=0.05, t_final=20.0)
-    return crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg)
+    return crank_nicolson_evolve(spec, PiecewisePotential.free(), FREE_GRID)
+
+
+@pytest.fixture(scope="module")
+def absorbed_runs(spec):
+    """FREE_GRID with absorbing walls, run until most of the packet has entered
+    the right ramp: once with A factored once (vt=None), once re-factored at
+    every step (vt = 0)."""
+    cfg = dataclasses.replace(FREE_GRID, t_final=60.0, absorber_width=30.0)
+    return [crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg,
+                                  probe_x=(0.0, 40.0), vt=vt)
+            for vt in (None, lambda t: 0.0)]
 
 
 class TestCrankNicolson:
@@ -64,6 +79,29 @@ class TestCrankNicolson:
                                dt=0.05, t_final=1.0)
         with pytest.raises(UnstableConfig):
             crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg)
+
+    def test_refactored_path_is_bit_identical(self, absorbed_runs):
+        fixed, refactored = absorbed_runs
+        assert np.array_equal(fixed.psi_final, refactored.psi_final)
+        assert np.array_equal(fixed.norms, refactored.norms)
+        for px, probe in fixed.probes.items():
+            assert np.array_equal(probe.values, refactored.probes[px].values)
+            assert np.array_equal(probe.derivs, refactored.probes[px].derivs)
+
+    def test_absorber_norm_never_increases(self, absorbed_runs):
+        norms = absorbed_runs[0].norms
+        # a norm sum over n_x = 865 cells is exact to ~n_x * eps
+        assert np.all(np.diff(norms) <= 1e-13)
+        assert norms[-1] < 0.5 * norms[0]
+
+    def test_singular_step_matrix_names_pivot(self):
+        from scipy.linalg.lapack import zgbtrf
+        ab = np.zeros((7, 8), dtype=complex)
+        ab[4] = 1.0
+        ab[4, 5] = 0.0
+        info = zgbtrf(ab, 2, 2)[2]
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot at diagonal 5"):
+            _lapack_info("zgbtrf", info)
 
     def test_transmitted_norm_before_crossing_is_zero(self, free_run):
         # after 20 time units the dispersing tail has not reached x = 50

@@ -5,7 +5,8 @@ The package propagates a Gaussian packet's energy amplitudes *in space*
 arrival-time densities at a detector, and compares the result with the free
 and transmitted-packet Kijowski distributions.  An independent standard-QM
 oracle (transfer matrix + Crank-Nicolson grid solver) cross-validates every
-quantity that both frameworks can compute.
+quantity that both frameworks can compute.  Units are natural, hbar = 1;
+the mass m is a parameter.
 """
 
 from .errors import (BoundaryAmbiguity, ConfigError, DivergenceWarning,

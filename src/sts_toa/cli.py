@@ -134,14 +134,22 @@ def _cmd_oracle(args) -> int:
     from .kijowski import transmitted_kijowski
     from .oracle import barrier_transmission_norm
 
+    if not 0.0 < args.time_factor < float("inf"):
+        raise ConfigError("--time-factor", "must be a finite number > 0")
     cfg = _build_config(args)
     rows = []
     for v0 in sorted(set(cfg.v0_list)):
         model = transmitted_kijowski(cfg.packet, v0, cfg.barrier_length,
                                      cfg.detector_x, cfg.tgrid,
                                      egrid=cfg.energy_grid())
-        solver = barrier_transmission_norm(cfg.packet, v0, cfg.barrier_length,
-                                           time_factor=args.time_factor)
+        try:
+            solver = barrier_transmission_norm(cfg.packet, v0, cfg.barrier_length,
+                                               time_factor=args.time_factor)
+        except ConfigError as exc:  # more than 2**20 grid points or steps
+            raise ConfigError("--time-factor", str(exc)) from exc
+        except OverflowError as exc:  # the packet width at t_measure overflows
+            raise ConfigError("--time-factor",
+                              "solver grid size overflows a double") from exc
         rows.append({"v0": v0,
                      "arrival_probability": model.arrival_probability,
                      "grid_solver_transmitted_norm": solver,

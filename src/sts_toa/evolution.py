@@ -93,13 +93,13 @@ def _apply_multiplier(amps: SpectralAmplitude, theta, x: float) -> SpectralAmpli
     exponent = 1j * np.asarray(theta)
     _check_growth(exponent.real)
     return SpectralAmplitude(amps.values * np.exp(exponent),
-                             anchor_x=x, egrid=amps.egrid, m=amps.m, hbar=amps.hbar)
+                             anchor_x=x, egrid=amps.egrid, m=amps.m)
 
 
 def propagate_closed_form(amps: SpectralAmplitude, pot: PiecewisePotential,
                           x: float) -> SpectralAmplitude:
     """Translate the amplitude from its anchor to x in one exact step."""
-    theta = phase_theta(pot, amps.egrid.samples, amps.m, amps.hbar, amps.anchor_x, x)
+    theta = phase_theta(pot, amps.egrid.samples, amps.m, amps.anchor_x, x)
     return _apply_multiplier(amps, theta, x)
 
 
@@ -121,7 +121,7 @@ def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
     theta = np.zeros(amps.egrid.n, dtype=complex)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         v = pot.value_at(0.5 * (lo + hi))
-        theta += (hi - lo) * complex_sqrt_2m(E, v, amps.m) / amps.hbar
+        theta += (hi - lo) * complex_sqrt_2m(E, v, amps.m)
     return _apply_multiplier(amps, theta, x)
 
 
@@ -142,7 +142,7 @@ def toa_density(amps: SpectralAmplitude, x: float, tgrid: TimeGrid,
     if arrival < _ARRIVAL_FLOOR:
         raise ZeroArrival(f"arrival probability {arrival:g} at x = {x}")
 
-    series = fourier_E_to_t(amps.values, egrid, tgrid, hbar=amps.hbar, method=method)
+    series = fourier_E_to_t(amps.values, egrid, tgrid, method=method)
     density = np.abs(series) ** 2
     if normalize:
         norm = float(trapezoid_complex(density, tgrid.spacing).real)
@@ -166,9 +166,8 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     amps0 = sc_initial_amplitude(spec, egrid)
     P = np.sqrt(2.0 * spec.m * egrid.samples)
-    values = amps0.values * np.exp(1j * P * x / spec.hbar)
-    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid,
-                             m=spec.m, hbar=spec.hbar)
+    values = amps0.values * np.exp(1j * P * x)
+    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
     return toa_density(amps, x, tgrid, normalize=normalize, method=method)
 
 

@@ -19,12 +19,11 @@ from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
 __all__ = ["transmission_amplitude", "transmitted_kijowski", "model_distance"]
 
 
-def transmission_amplitude(P, v0: float, length: float, m: float = 1.0,
-                           hbar: float = 1.0):
+def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
     """Square-barrier transmission amplitude for incident momentum P > 0.
 
-        T(P) = 4 P P' exp(-i (P - P') L / hbar)
-               / [ (P + P')^2 - exp(2 i P' L / hbar) (P - P')^2 ]
+        T(P) = 4 P P' exp(-i (P - P') L)
+               / [ (P + P')^2 - exp(2 i P' L) (P - P')^2 ]
 
     with P' = sqrt(P^2 - 2 m v0) continued onto the positive imaginary axis
     below the barrier, where the formula stays finite (opaque-barrier decay).
@@ -34,26 +33,25 @@ def transmission_amplitude(P, v0: float, length: float, m: float = 1.0,
         raise ValueError("transmission amplitude defined for P > 0 only")
     Pp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
     # equivalent form with the removable P' = 0 point (P^2 = 2 m v0) made
-    # explicit: multiply numerator and denominator by exp(-i P' L / hbar)
-    # and divide out one power of P':
-    #   T = 4 P exp(-i P L / hbar)
-    #       / [4 P cos(P' L / hbar) - 2 i (P^2 + P'^2) sin(P' L / hbar) / P']
-    z = Pp * length / hbar
+    # explicit: multiply numerator and denominator by exp(-i P' L) and
+    # divide out one power of P':
+    #   T = 4 P exp(-i P L) / [4 P cos(P' L) - 2 i (P^2 + P'^2) sin(P' L) / P']
+    z = Pp * length
     with np.errstate(over="ignore", invalid="ignore"):
         sin_over = np.where(np.abs(z) > 1e-6, np.sin(z) / np.where(Pp == 0, 1.0, Pp),
-                            (length / hbar) * (1.0 - z**2 / 6.0))
+                            length * (1.0 - z**2 / 6.0))
         den = 4.0 * P * np.cos(z) - 2j * (P**2 + Pp**2) * sin_over
         if np.any(np.abs(den) <= 1e-30):
             raise ResonancePole("transmission denominator vanished")  # pragma: no cover
-        out = np.asarray(4.0 * P * np.exp(-1j * P * length / hbar) / den)
-    # deep below the barrier (P' L / hbar past ~710i) cos z and sin z overflow;
-    # there the first form is used, whose exp(i z) = exp(-|P'| L / hbar) only
+        out = np.asarray(4.0 * P * np.exp(-1j * P * length) / den)
+    # deep below the barrier (P' L past ~710i) cos z and sin z overflow;
+    # there the first form is used, whose exp(i z) = exp(-|P'| L) only
     # underflows
     bad = ~np.isfinite(out)
     if np.any(bad):
         p, pp = np.broadcast_to(P, out.shape)[bad], Pp[bad]
         ez = np.exp(1j * z[bad])
-        out[bad] = (4.0 * p * pp * np.exp(-1j * p * length / hbar) * ez
+        out[bad] = (4.0 * p * pp * np.exp(-1j * p * length) * ez
                     / ((p + pp) ** 2 - ez**2 * (p - pp) ** 2))
     return complex(out) if out.ndim == 0 else out
 
@@ -75,10 +73,9 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     base = sc_initial_amplitude(spec, egrid)
     P = np.sqrt(2.0 * spec.m * egrid.samples)
-    T = transmission_amplitude(P, v0, length, m=spec.m, hbar=spec.hbar)
-    values = T * base.values * np.exp(1j * P * x / spec.hbar)
-    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid,
-                             m=spec.m, hbar=spec.hbar)
+    T = transmission_amplitude(P, v0, length, m=spec.m)
+    values = T * base.values * np.exp(1j * P * x)
+    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
     return toa_density(amps, x, tgrid, normalize=normalize, method=method)
 
 

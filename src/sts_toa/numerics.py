@@ -2,7 +2,7 @@
 
 The oscillatory transform
 
-    f(t) = (2*pi*hbar)**-0.5 * integral dE a(E) exp(-i E t / hbar)
+    f(t) = (2*pi)**-0.5 * integral dE a(E) exp(-i E t)        (hbar = 1)
 
 is evaluated on uniform grids either by direct (chunked) trapezoid
 quadrature or by Bluestein's chirp-z algorithm on ``numpy.fft``.  Both paths
@@ -103,8 +103,8 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _check_nyquist(egrid: EnergyGrid, tgrid: TimeGrid, hbar: float):
-    phase_step = egrid.spacing * (tgrid.t_max - tgrid.t_min) / hbar
+def _check_nyquist(egrid: EnergyGrid, tgrid: TimeGrid):
+    phase_step = egrid.spacing * (tgrid.t_max - tgrid.t_min)
     if phase_step > np.pi:
         raise GridTooCoarse(
             f"energy spacing {egrid.spacing:g} advances the kernel phase by "
@@ -129,11 +129,11 @@ def _chirp_z(x, m: int, theta: float, phi: float) -> np.ndarray:
     return np.fft.ifft(y * np.fft.fft(kernel))[:m] * chirp[:m]
 
 
-def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid, hbar: float = 1.0,
+def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
                    method: str = "fft") -> np.ndarray:
     """Transform an energy-sampled amplitude to the time domain.
 
-    Approximates (2*pi*hbar)**-0.5 * integral dE a(E) exp(-i E t / hbar) at
+    Approximates (2*pi)**-0.5 * integral dE a(E) exp(-i E t) at
     every time-grid point, by trapezoid quadrature on the energy grid.
 
     method="fft" evaluates the quadrature sum with a chirp-z transform
@@ -143,22 +143,22 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid, hbar: float = 1.0,
     values = np.asarray(values, dtype=complex)
     if values.shape != (egrid.n,):
         raise ValueError(f"amplitude shape {values.shape} does not match grid ({egrid.n},)")
-    _check_nyquist(egrid, tgrid, hbar)
+    _check_nyquist(egrid, tgrid)
 
     weighted = values * _trapezoid_weights(egrid.n)
-    norm = egrid.spacing / np.sqrt(2.0 * np.pi * hbar)
+    norm = egrid.spacing / np.sqrt(2.0 * np.pi)
     t = tgrid.samples
     if method == "direct":
         out = np.empty(tgrid.n, dtype=complex)
         # chunked kernel rows keep the working set small on large grids
         step = max(1, 2**22 // egrid.n)
         for i in range(0, tgrid.n, step):
-            kern = np.exp(-1j * np.outer(t[i:i + step], egrid.samples) / hbar)
+            kern = np.exp(-1j * np.outer(t[i:i + step], egrid.samples))
             out[i:i + step] = kern @ weighted
         return out * norm
     if method == "fft":
-        # sum_j a_j exp(-i (E_j - e_min) t_k / hbar); the e_min phase follows
-        out = _chirp_z(weighted, tgrid.n, -egrid.spacing * tgrid.spacing / hbar,
-                       -egrid.spacing * tgrid.t_min / hbar)
-        return out * np.exp(-1j * egrid.e_min * t / hbar) * norm
+        # sum_j a_j exp(-i (E_j - e_min) t_k); the e_min phase follows
+        out = _chirp_z(weighted, tgrid.n, -egrid.spacing * tgrid.spacing,
+                       -egrid.spacing * tgrid.t_min)
+        return out * np.exp(-1j * egrid.e_min * t) * norm
     raise ValueError(f"unknown method {method!r}")

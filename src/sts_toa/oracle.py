@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import UnstableConfig
+from .errors import ConfigError, UnstableConfig
 from .numerics import _trapezoid_weights
 from .packet import GaussianPacketSpec, psi_momentum, psi_position
 from .potential import PiecewisePotential
@@ -24,9 +24,12 @@ __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
            "barrier_oracle_config", "barrier_transmission_norm",
            "transmitted_norm"]
 
+# cap on the grid points and on the steps of one solver run; 2**20 is >= 40x
+# the largest grid any test or benchmark uses
+_MAX_GRID_SIZE = 2**20
 
-def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0,
-                      hbar: float = 1.0):
+
+def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
     """Plane-wave matching across a square barrier; returns (T, R).
 
     Solves the four continuity conditions at x = 0 and x = L numerically (a
@@ -36,8 +39,8 @@ def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0,
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if np.any(P <= 0.0):
         raise ValueError("incident momentum must be positive")
-    k = P / hbar
-    kp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex)) / hbar
+    k = P
+    kp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
     # the matching system is singular at the turning point kp = 0 (interior
     # solution degenerates to a linear function); T is analytic in kp^2, so a
     # tiny nudge perturbs it by O(nudge^2) while keeping the system regular
@@ -68,10 +71,10 @@ class GridSolverConfig:
     """Space-time grid for the Crank-Nicolson propagator.
 
     Validity bounds (checked against the packet before a run):
-      dx < 2 pi hbar / (6 p_max)   -- resolve the shortest wavelength, with
-                                      p_max = p_i + 10 sigma_p
-      dt < m dx^2 / hbar           -- phase-error comfort margin (the scheme
-                                      itself is unconditionally stable)
+      dx < 2 pi / (6 p_max)   -- resolve the shortest wavelength, with
+                                 p_max = p_i + 10 sigma_p
+      dt < m dx^2             -- phase-error comfort margin (the scheme
+                                 itself is unconditionally stable)
 
     ``absorber_width`` > 0 adds an imaginary quartic ramp of that width and
     height p_i^2 / 2m at both walls.
@@ -102,14 +105,14 @@ class GridSolverConfig:
 
     def validate(self, spec: GaussianPacketSpec):
         p_max = spec.p_i + 10.0 * spec.sigma_p
-        if not self.dx < 2.0 * np.pi * spec.hbar / (6.0 * p_max):
+        if not self.dx < 2.0 * np.pi / (6.0 * p_max):
             raise UnstableConfig(
                 f"dx = {self.dx:g} does not resolve p_max = {p_max:g} "
-                f"(needs dx < {2 * np.pi * spec.hbar / (6 * p_max):g})")
-        if not self.dt < spec.m * self.dx**2 / spec.hbar:
+                f"(needs dx < {2 * np.pi / (6 * p_max):g})")
+        if not self.dt < spec.m * self.dx**2:
             raise UnstableConfig(
                 f"dt = {self.dt:g} exceeds the phase-error bound "
-                f"m dx^2 / hbar = {spec.m * self.dx**2 / spec.hbar:g}")
+                f"m dx^2 = {spec.m * self.dx**2:g}")
 
 
 @dataclass
@@ -129,7 +132,6 @@ class CNResult:
     norms: np.ndarray                       # total norm per step
     psi_final: np.ndarray                   # wave function at times[-1]
     probes: dict = field(default_factory=dict)
-    hbar: float = 1.0
     m: float = 1.0
 
 
@@ -145,7 +147,7 @@ def _sample_potential(pot: PiecewisePotential, xs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _hamiltonian_diagonals(v: np.ndarray, dx: float, m: float, hbar: float):
+def _hamiltonian_diagonals(v: np.ndarray, dx: float, m: float):
     """Five diagonals (d2, d1, d0) of the Dirichlet Hamiltonian.
 
     Fourth-order pentadiagonal Laplacian with zero ghost points; the wall
@@ -153,7 +155,7 @@ def _hamiltonian_diagonals(v: np.ndarray, dx: float, m: float, hbar: float):
     real v) and the Crank-Nicolson step stays norm-conserving.
     """
     n = v.size
-    c = hbar**2 / (2.0 * m * dx**2)
+    c = 1.0 / (2.0 * m * dx**2)
     d0 = np.full(n, 30.0 / 12.0 * c, dtype=complex) + v
     d1 = np.full(n - 1, -16.0 / 12.0 * c, dtype=complex)
     d2 = np.full(n - 2, 1.0 / 12.0 * c, dtype=complex)
@@ -185,7 +187,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     midpoint.  ``probe_x`` grid points are recorded at every step; of the
     full wave function only the final state is kept.
 
-    Scheme: with A = 1 + i H dt / 2 hbar, the step A psi^(n+1) = (2 - A) psi^n
+    Scheme: with A = 1 + i H dt / 2, the step A psi^(n+1) = (2 - A) psi^n
     is taken as psi^(n+1) = 2 A^-1 psi^n - psi^n (Goldberg, Schey & Schwartz,
     Am. J. Phys. 35, 177 (1967)).  A is LU-factored once (LAPACK zgbtrf) and
     each step is one banded solve (zgbtrs) with no product by 2 - A.  With
@@ -196,7 +198,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     cfg.validate(spec)
     x = cfg.x
     dx = cfg.dx
-    hbar, m = spec.hbar, spec.m
+    m = spec.m
 
     psi = psi_position(spec, x).astype(complex)
     edge_amp = max(abs(psi[0]), abs(psi[-1]))
@@ -212,8 +214,8 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
             ramp = np.clip(1.0 - d / cfg.absorber_width, 0.0, 1.0)
             v = v - 1j * eta * ramp**4
 
-    d2, d1, d0 = _hamiltonian_diagonals(v, dx, m, hbar)
-    alpha = 1j * cfg.dt / (2.0 * hbar)
+    d2, d1, d0 = _hamiltonian_diagonals(v, dx, m)
+    alpha = 1j * cfg.dt / 2.0
     # LAPACK band storage of A (kl = ku = 2): A[i, j] sits at ab[4 + i - j, j];
     # rows 0-1 are workspace for the fill-in of the pivoted factorisation
     ab_off = np.zeros((7, x.size), dtype=complex)
@@ -265,7 +267,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
         record(i, psi)
 
     return CNResult(x=x, times=times, norms=norms, psi_final=psi,
-                    probes=probes, hbar=hbar, m=m)
+                    probes=probes, m=m)
 
 
 @dataclass
@@ -288,12 +290,12 @@ class FluxSeries:
 
 
 def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
-    """J(x_d, t) = (hbar/m) Im(psi* dpsi/dx) from a probed solver run."""
+    """J(x_d, t) = (1/m) Im(psi* dpsi/dx) from a probed solver run."""
     if x_detector not in result.probes:
         raise ValueError(f"no probe was recorded at x = {x_detector}; pass it "
                          "in probe_x when running the solver")
     probe = result.probes[x_detector]
-    current = (result.hbar / result.m) * np.imag(np.conj(probe.values) * probe.derivs)
+    current = (1.0 / result.m) * np.imag(np.conj(probe.values) * probe.derivs)
     return FluxSeries(result.times, current, x_detector)
 
 
@@ -312,14 +314,24 @@ def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
 
     The walls are snapped outward to multiples of dx so that segment edges
     and detectors at such multiples land on grid points; dt is the largest
-    step of at most 0.8 m dx^2 / hbar that divides t_final evenly.
+    step of at most 0.8 m dx^2 that divides t_final evenly.  A grid of more
+    than 2**20 points or steps raises ConfigError naming ``n_x`` or
+    ``t_final``, before anything is allocated.
     """
-    x_min = np.floor(x_lo / dx) * dx
-    x_max = np.ceil(x_hi / dx) * dx
-    n_x = int(round((x_max - x_min) / dx)) + 1
-    dt_bound = spec.m * dx**2 / spec.hbar
-    n_steps = int(np.ceil(t_final / (0.8 * dt_bound)))
-    return GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=n_x,
+    with np.errstate(all="ignore"):
+        x_min = np.floor(x_lo / dx) * dx
+        x_max = np.ceil(x_hi / dx) * dx
+        n_x = np.rint((x_max - x_min) / dx) + 1
+        dt_bound = spec.m * dx**2
+        n_steps = np.ceil(np.divide(t_final, 0.8 * dt_bound))
+    if not n_x <= _MAX_GRID_SIZE:
+        raise ConfigError("n_x", f"[{x_lo:g}, {x_hi:g}] at dx = {dx:g} needs "
+                                 f"{n_x:g} grid points, more than 2**20")
+    if not 1 <= n_steps <= _MAX_GRID_SIZE:
+        raise ConfigError("t_final", f"{t_final:g} at dt <= {0.8 * dt_bound:g} needs "
+                                     f"{n_steps:g} steps, not in [1, 2**20]")
+    n_steps = int(n_steps)
+    return GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=int(n_x),
                             dt=t_final / n_steps, t_final=t_final,
                             absorber_width=absorber_width)
 
@@ -338,8 +350,7 @@ def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
     x_cut = length + 5.0 * spec.delta
     t_meas = time_factor * (x_cut - spec.x_i) / v
     # spread of the dispersing packet by t_meas
-    width_t = spec.delta * np.sqrt(1.0 + (spec.hbar * t_meas
-                                          / (2.0 * spec.m * spec.delta**2)) ** 2)
+    width_t = spec.delta * np.sqrt(1.0 + (t_meas / (2.0 * spec.m * spec.delta**2)) ** 2)
     pad = 6.0 * width_t
     x_lo = min(spec.x_i - v * t_meas - pad, spec.x_i - pad)
     x_hi = max(spec.x_i + v * t_meas + pad, x_cut + pad)
@@ -358,19 +369,18 @@ def barrier_transmission_norm(spec: GaussianPacketSpec, v0: float, length: float
     measurement cut.
     """
     pot = PiecewisePotential.square_barrier(v0, length)
-    norms = []
-    for dx in (0.25, 0.125):
-        cfg, x_cut, _ = barrier_oracle_config(spec, length, dx_target=dx,
-                                              time_factor=time_factor)
-        res = crank_nicolson_evolve(spec, pot, cfg)
-        norms.append(transmitted_norm(res, x_cut))
+    # both grids are built before either run, so an oversized one fails fast
+    runs = [barrier_oracle_config(spec, length, dx_target=dx, time_factor=time_factor)
+            for dx in (0.25, 0.125)]
+    norms = [transmitted_norm(crank_nicolson_evolve(spec, pot, cfg), x_cut)
+             for cfg, x_cut, _ in runs]
     return (4.0 * norms[1] - norms[0]) / 3.0
 
 
 def time_potential_solution(spec: GaussianPacketSpec, vt, x, t: float):
     """Wave function at time t under a spatially uniform potential V(t).
 
-    psi(x|t) = exp(-i Integral_0^t V dt' / hbar) * free packet evolution,
+    psi(x|t) = exp(-i Integral_0^t V dt') * free packet evolution,
     evaluated as a 4097-point momentum quadrature over p_i +/- 12 sigma_p:
     the uniform potential commutes with everything and contributes only the
     global phase (itself a 4097-point trapezoid rule).  ``vt`` is either a
@@ -389,13 +399,13 @@ def time_potential_solution(spec: GaussianPacketSpec, vt, x, t: float):
         vv = np.interp(tt, tab_t, tab_v)
     v_phase = np.trapezoid(vv, tt) if t > 0.0 else 0.0
 
-    hbar, m = spec.hbar, spec.m
+    m = spec.m
     p = np.linspace(spec.p_i - 12.0 * spec.sigma_p, spec.p_i + 12.0 * spec.sigma_p, n)
     dp = p[1] - p[0]
     amp = psi_momentum(spec, p)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    kern = np.exp(1j * np.outer(x_arr, p) / hbar
-                  - 1j * np.outer(np.full_like(x_arr, t), p**2) / (2.0 * m * hbar))
-    psi = (kern @ (amp * _trapezoid_weights(n))) * dp / np.sqrt(2.0 * np.pi * hbar)
-    psi = psi * np.exp(-1j * v_phase / hbar)
+    kern = np.exp(1j * np.outer(x_arr, p)
+                  - 1j * np.outer(np.full_like(x_arr, t), p**2) / (2.0 * m))
+    psi = (kern @ (amp * _trapezoid_weights(n))) * dp / np.sqrt(2.0 * np.pi)
+    psi = psi * np.exp(-1j * v_phase)
     return psi[0] if np.ndim(x) == 0 else psi

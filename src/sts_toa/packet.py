@@ -33,11 +33,10 @@ class GaussianPacketSpec:
     p_i: float
     delta: float
     m: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0 or self.m <= 0 or self.hbar <= 0:
-            raise ValueError("delta, m, hbar must all be positive")
+        if self.delta <= 0 or self.m <= 0:
+            raise ValueError("delta and m must both be positive")
 
     @property
     def sigma_p(self) -> float:
@@ -55,16 +54,15 @@ class SpectralAmplitude:
     """Complex amplitude per energy-grid sample of the forward-moving state.
 
     ``anchor_x`` is the detector position at which the amplitudes are defined.
-    ``m`` and ``hbar`` ride along so downstream translations need no extra
-    context.  A reflected (backward-moving) component is identically zero in
-    the transmitted-particle workflows and is not represented.
+    ``m`` rides along so downstream translations need no extra context.  A
+    reflected (backward-moving) component is identically zero in the
+    transmitted-particle workflows and is not represented.
     """
 
     values: np.ndarray
     anchor_x: float
     egrid: EnergyGrid
     m: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -104,8 +102,7 @@ def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> Spectra
     E = egrid.samples
     P = np.sqrt(2.0 * spec.m * E)
     values = (spec.m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
-    return SpectralAmplitude(values, anchor_x=0.0, egrid=egrid,
-                             m=spec.m, hbar=spec.hbar)
+    return SpectralAmplitude(values, anchor_x=0.0, egrid=egrid, m=spec.m)
 
 
 E_FLOOR = 1e-9  # lowest admissible grid energy; (m/2E)^(1/4) blows up at 0

@@ -77,9 +77,8 @@ class PiecewisePotential:
         return out
 
 
-def phase_theta(pot: PiecewisePotential, E, m: float, hbar: float,
-                x0: float, x: float):
-    """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx' / hbar.
+def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float):
+    """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx'.
 
     Exact segment sum; E may be an array.  The real part is the oscillatory
     phase, the imaginary part the decay exponent accumulated in forbidden
@@ -88,10 +87,10 @@ def phase_theta(pot: PiecewisePotential, E, m: float, hbar: float,
     if x == x0:
         return np.zeros_like(np.asarray(E, dtype=float)) * 1j if np.ndim(E) else 0j
     if x < x0:
-        return -phase_theta(pot, E, m, hbar, x, x0)
+        return -phase_theta(pot, E, m, x, x0)
     theta = 0j
     for length, v in pot.pieces(x0, x):
-        theta = theta + length * complex_sqrt_2m(E, v, m) / hbar
+        theta = theta + length * complex_sqrt_2m(E, v, m)
     return theta
 
 

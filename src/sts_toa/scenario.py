@@ -24,7 +24,8 @@ from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
-from .oracle import crank_nicolson_evolve, flux_toa, snapped_grid_config
+from .oracle import (GridSolverConfig, crank_nicolson_evolve, flux_toa,
+                     snapped_grid_config)
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
@@ -44,11 +45,14 @@ _METHOD_RE = re.compile(r"^(closed|slices:(\d+))$")
 _MAX_SLICES = 100_000
 _MAX_GRID_POINTS = 2**20
 
+# from this phase magnitude on, adjacent doubles lie >= 1 rad apart
+_MAX_PHASE = 2.0**52
+
 # Expanded form of the reference figure: barrier sweep over four heights,
 # detector well past the barrier, time window wide enough for the slow
 # over-barrier components.
 FIG2_PRESET = {
-    "packet": {"x_i": -50.0, "p_i": 2.0, "delta": 10.0, "m": 1.0, "hbar": 1.0},
+    "packet": {"x_i": -50.0, "p_i": 2.0, "delta": 10.0, "m": 1.0},
     "barrier": {"v0": [0.0, 1.125, 1.8, 4.5], "length": 10.0},
     "detector_x": 50.0,
     "tgrid": {"t_min": 0.0, "t_max": 150.0, "n": 4096},
@@ -135,35 +139,48 @@ class ScenarioConfig:
             raise ConfigError("initial_amplitude",
                               "only 'match-standard-qm' is implemented")
         self._check_derived_scales()
+        if "flux_oracle" in self.models:
+            try:
+                _flux_solver_grid(self)
+            except ConfigError as exc:
+                field_name = "detector_x" if exc.field == "n_x" else "tgrid.t_max"
+                raise ConfigError(field_name, f"flux_oracle solver grid: {exc}") from exc
 
     def _check_derived_scales(self):
         """Reject finite inputs whose derived weights or phases overflow.
 
         The pipeline forms the momenta P = sqrt(2 m E) and weights
         (m / 2E)^(1/4) at the energy-grid ends, the packet's prefactor
-        (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x / hbar
-        and the barrier exponent sqrt(2 m (E - V0)) L / hbar; one of them
-        past the float range would end the run in non-finite amplitudes.
+        (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x and
+        the barrier exponent sqrt(2 m (E - V0)) L; one of them past the float
+        range would end the run in non-finite amplitudes.  A phase (the real
+        part of the barrier exponent included) of magnitude >= 2**52 rad is
+        rejected as well: there adjacent doubles lie >= 1 rad apart, so the
+        phase carries no digits.
         """
         spec = self.packet
         egrid = _build("packet", self.energy_grid)
         with np.errstate(all="ignore"):
             E = np.array([egrid.e_min, egrid.e_max])
             P = np.sqrt(2.0 * spec.m * E)
+            # (field, quantity, values, whether the real part is a phase)
             scales = [
                 ("packet" if self.egrid is None else "egrid",
                  "momentum sqrt(2 m E) or weight (m / 2E)^(1/4) at the grid ends",
-                 np.append(P, (spec.m / (2.0 * E)) ** 0.25)),
+                 np.append(P, (spec.m / (2.0 * E)) ** 0.25), False),
                 ("packet.delta", "prefactor (2 delta^2 / pi)^(1/4)",
-                 (2.0 * np.float64(spec.delta) ** 2 / np.pi) ** 0.25),
-                ("packet.x_i", "phase P x_i", P * spec.x_i),
-                ("detector_x", "phase P x / hbar", P * self.detector_x / spec.hbar),
-            ] + [("barrier.v0", f"exponent sqrt(2 m (E - V0)) L / hbar at V0 = {v0:g}",
-                  complex_sqrt_2m(E, v0, spec.m) * self.barrier_length / spec.hbar)
+                 (2.0 * np.float64(spec.delta) ** 2 / np.pi) ** 0.25, False),
+                ("packet.x_i", "phase P x_i", P * spec.x_i, True),
+                ("detector_x", "phase P x", P * self.detector_x, True),
+            ] + [("barrier.v0", f"exponent sqrt(2 m (E - V0)) L at V0 = {v0:g}",
+                  complex_sqrt_2m(E, v0, spec.m) * self.barrier_length, True)
                  for v0 in self.v0_list]
-        for name, what, values in scales:
+        for name, what, values, is_phase in scales:
             if not np.all(np.isfinite(values)):
                 raise ConfigError(name, f"{what} overflows a double")
+            if is_phase and np.max(np.abs(np.real(values))) >= _MAX_PHASE:
+                raise ConfigError(name, f"{what} reaches 2**52 rad or more, where "
+                                        "adjacent doubles lie >= 1 rad apart")
 
     @property
     def n_slices(self) -> int | None:
@@ -197,8 +214,11 @@ class ScenarioConfig:
             x_i=_require(pk, "x_i", float, "packet.x_i"),
             p_i=_require(pk, "p_i", float, "packet.p_i"),
             delta=_require(pk, "delta", float, "packet.delta"),
-            m=_require(pk, "m", float, "packet.m") if "m" in pk else 1.0,
-            hbar=_require(pk, "hbar", float, "packet.hbar") if "hbar" in pk else 1.0))
+            m=_require(pk, "m", float, "packet.m") if "m" in pk else 1.0))
+        # units have hbar = 1; the key stays readable for existing configs
+        if "hbar" in pk and _require(pk, "hbar", float, "packet.hbar") != 1.0:
+            raise ConfigError("packet.hbar", "units have hbar = 1; omit the key "
+                                             "or set it to 1")
 
         br = _require(raw, "barrier", dict, "barrier")
         v0_raw = br.get("v0", 0.0)
@@ -244,8 +264,7 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return {
             "packet": {"x_i": self.packet.x_i, "p_i": self.packet.p_i,
-                       "delta": self.packet.delta, "m": self.packet.m,
-                       "hbar": self.packet.hbar},
+                       "delta": self.packet.delta, "m": self.packet.m},
             "barrier": {"v0": list(self.v0_list), "length": self.barrier_length},
             "detector_x": self.detector_x,
             "tgrid": {"t_min": self.tgrid.t_min, "t_max": self.tgrid.t_max,
@@ -296,9 +315,8 @@ class ScenarioResult:
         return {"points": out}
 
 
-def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
-    """Probability current at the detector from the grid solver, resampled
-    onto the scenario time grid.
+def _flux_solver_grid(cfg: ScenarioConfig) -> GridSolverConfig:
+    """Grid-solver grid of the flux_oracle model.
 
     The spatial domain is padded and terminated with absorbing ramps so that
     wall reflections never reach the detector inside the time window.
@@ -306,12 +324,18 @@ def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
     spec = cfg.packet
     absorber = 30.0
     # probe-derivative accuracy is O(dx^4); dx = 0.25 visibly biases the integral
-    solver = snapped_grid_config(spec, spec.x_i - 6.0 * spec.delta - absorber,
-                                 cfg.detector_x + 8.0 * spec.delta + absorber,
-                                 cfg.tgrid.t_max, 0.125, absorber_width=absorber)
+    return snapped_grid_config(spec, spec.x_i - 6.0 * spec.delta - absorber,
+                               cfg.detector_x + 8.0 * spec.delta + absorber,
+                               cfg.tgrid.t_max, 0.125, absorber_width=absorber)
+
+
+def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
+    """Probability current at the detector from the grid solver, resampled
+    onto the scenario time grid."""
     pot = (PiecewisePotential.free() if v0 == 0.0
            else PiecewisePotential.square_barrier(v0, cfg.barrier_length))
-    result = crank_nicolson_evolve(spec, pot, solver, probe_x=(cfg.detector_x,))
+    result = crank_nicolson_evolve(cfg.packet, pot, _flux_solver_grid(cfg),
+                                   probe_x=(cfg.detector_x,))
     series = flux_toa(result, cfg.detector_x)
     return np.interp(cfg.tgrid.samples, series.times, series.current)
 

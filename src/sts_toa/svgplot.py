@@ -14,6 +14,9 @@ _STYLES = {
     "dotted": 'stroke-dasharray="2,3" ',
 }
 _COLORS = ["#1f3a93", "#c0392b", "#1e8449", "#7d3c98"]
+_WIDTH, _HEIGHT = 480, 320  # of one panel
+_X_LABEL, _Y_LABEL = "t", "\U0001d4ab(t|x)"
+_N_TICKS = 5
 
 
 @dataclass
@@ -34,30 +37,29 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
+    raw = np.linspace(lo, hi, _N_TICKS)
     return [float(v) for v in raw]
 
 
-def render_svg(panels: list[Panel], path: str, width: int = 480, height: int = 320,
-               x_label: str = "t", y_label: str = "\U0001d4ab(t|x)"):
+def render_svg(panels: list[Panel], path: str):
     """Write a standalone multi-panel SVG, one panel per row."""
     if not panels:
         raise ValueError("need at least one panel")
     pad_l, pad_r, pad_t, pad_b = 64, 16, 28, 40
-    total_h = height * len(panels)
+    total_h = _HEIGHT * len(panels)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total_h}" viewBox="0 0 {width} {total_h}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for ip, panel in enumerate(panels):
-        oy = ip * height
-        x0, x1 = pad_l, width - pad_r
-        y0, y1 = oy + height - pad_b, oy + pad_t
+        oy = ip * _HEIGHT
+        x0, x1 = pad_l, _WIDTH - pad_r
+        y0, y1 = oy + _HEIGHT - pad_b, oy + pad_t
         t_lo = min(float(c.t[0]) for c in panel.curves)
         t_hi = max(float(c.t[-1]) for c in panel.curves)
         r_hi = max(float(np.max(c.rho)) for c in panel.curves)
@@ -84,10 +86,10 @@ def render_svg(panels: list[Panel], path: str, width: int = 480, height: int = 3
             out.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
             out.append(f'<text x="{x0 - 6}" y="{py + 3:.2f}" text-anchor="end">{rv:.3g}</text>')
         out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{y0 + 32}" text-anchor="middle" '
-                   f'font-style="italic">{x_label}</text>')
+                   f'font-style="italic">{_X_LABEL}</text>')
         out.append(f'<text x="14" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
                    f'font-style="italic" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">'
-                   f'{y_label}</text>')
+                   f'{_Y_LABEL}</text>')
         # curves and legend
         for ic, c in enumerate(panel.curves):
             color = _COLORS[ic % len(_COLORS)]

@@ -56,6 +56,7 @@ class TestExitCodes:
          "initial_amplitude"),
         ({"preset": "fig2", "packet": {"m": None}}, "packet.m"),
         ({"preset": "fig2", "packet": {"hbar": [1]}}, "packet.hbar"),
+        ({"preset": "fig2", "packet": {"hbar": 2.0}}, "packet.hbar"),
         ({"preset": "fig2", "packet": {"x_i": float("-inf")}}, "packet.x_i"),
         ({"preset": "fig2", "barrier": {"v0": [float("nan")]}}, "barrier.v0"),
         ({"preset": "fig2", "barrier": {"v0": [10**400]}}, "barrier.v0"),
@@ -69,16 +70,30 @@ class TestExitCodes:
         ({"preset": "fig2", "barrier": {"v0": [1e308]}}, "barrier.v0"),
         ({"preset": "fig2", "detector_x": 1e308}, "detector_x"),
         ({"preset": "fig2", "packet": {"x_i": -1e308}}, "packet.x_i"),
+        ({"preset": "fig2", "packet": {"x_i": -1e300}, "barrier": {"v0": [0.0]}},
+         "packet.x_i"),
+        ({"preset": "fig2", "detector_x": 1e9, "models": ["flux_oracle"]},
+         "detector_x"),
+        ({"preset": "fig2", "tgrid": {"t_max": 1e7}, "models": ["flux_oracle"]},
+         "tgrid.t_max"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
-            "independent-amplitude", "mass-null", "hbar-list", "x_i-infinite",
-            "v0-nan", "v0-int-past-float-range", "huge-slice-count", "huge-tgrid",
-            "huge-egrid", "v0-exponent-overflows", "detector-phase-overflows",
-            "x_i-phase-overflows"])
+            "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
+            "x_i-infinite", "v0-nan", "v0-int-past-float-range", "huge-slice-count",
+            "huge-tgrid", "huge-egrid", "v0-exponent-overflows",
+            "detector-phase-overflows", "x_i-phase-overflows",
+            "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long"])
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
+
+    # 1e6 asks for solver grids of 1e9 points and more; 1e300 overflows their size
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e6", "1e300"])
+    def test_bad_time_factor(self, capsys, value):
+        code, _, err = run_cli(capsys, "oracle", "--preset", "fig2", "--v0", "1.125",
+                               f"--time-factor={value}")
+        assert code == 2 and "config error: --time-factor:" in err
 
 
 # a numeric field takes a float-range edge, a typical value or any finite float

@@ -36,8 +36,7 @@ class TestPropagation:
         e = float(egrid.samples[idx])
         vals = np.zeros(egrid.n, dtype=complex)
         vals[idx] = 1.0
-        one = SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid,
-                                m=1.0, hbar=1.0)
+        one = SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid, m=1.0)
         kappa = np.sqrt(2.0 * (4.5 - e))
         out = propagate_closed_form(one, BARRIER, 10.0)
         assert abs(out.values[idx]) == pytest.approx(np.exp(-10.0 * kappa), rel=1e-10)
@@ -68,8 +67,7 @@ class TestPropagation:
         # back from x = 25 to 0 the 500 x 25 barrier grows the amplitude by
         # exp(25 sqrt(2 (500 - E))), an exponent of about 790
         vals = np.ones(egrid.n, dtype=complex)
-        one = SpectralAmplitude(vals, anchor_x=25.0, egrid=egrid,
-                                m=1.0, hbar=1.0)
+        one = SpectralAmplitude(vals, anchor_x=25.0, egrid=egrid, m=1.0)
         thick = PiecewisePotential.square_barrier(500.0, 25.0)
         with pytest.raises(DivergenceWarning):
             propagate_closed_form(one, thick, 0.0)
@@ -85,7 +83,7 @@ class TestDensity:
     def test_global_phase_invariance(self, amps, tgrid):
         shifted = SpectralAmplitude(amps.values * np.exp(0.7j),
                                     anchor_x=amps.anchor_x, egrid=amps.egrid,
-                                    m=amps.m, hbar=amps.hbar)
+                                    m=amps.m)
         a = toa_density(amps, 0.0, tgrid)
         b = toa_density(shifted, 0.0, tgrid)
         np.testing.assert_allclose(a.density, b.density,
@@ -93,7 +91,7 @@ class TestDensity:
 
     def test_zero_amplitudes_never_arrive(self, egrid, tgrid):
         zero = SpectralAmplitude(np.zeros(egrid.n, dtype=complex),
-                                 anchor_x=0.0, egrid=egrid, m=1.0, hbar=1.0)
+                                 anchor_x=0.0, egrid=egrid, m=1.0)
         with pytest.raises(ZeroArrival):
             toa_density(zero, 0.0, tgrid)
 
@@ -117,7 +115,7 @@ class TestFreeArrival:
         vals = (amps.values * np.exp(1j * P * 50.0)
                 * np.exp(1j * egrid.samples * t0))
         shifted = SpectralAmplitude(vals, anchor_x=50.0,
-                                    egrid=egrid, m=1.0, hbar=1.0)
+                                    egrid=egrid, m=1.0)
         dist = toa_density(shifted, 50.0, tgrid)
         scale = np.max(base.density)
         assert np.max(np.abs(dist.density[k:] - base.density[:-k])) / scale < 1e-10

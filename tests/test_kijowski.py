@@ -29,7 +29,7 @@ class TestTransmissionAmplitude:
         assert abs(T2 - np.exp(0j)) < 1e-4          # T -> 1 (phase included)
 
     def test_over_barrier_resonances(self):
-        # momenta where P' L / hbar is a multiple of pi transmit perfectly
+        # momenta where P' L is a multiple of pi transmit perfectly
         v0, L = 1.8, 10.0
         for n in (3, 5, 8):
             p_prime = n * np.pi / L
@@ -44,7 +44,7 @@ class TestTransmissionAmplitude:
         assert np.isfinite(T) and 0 < abs(T) < 1
 
     def test_opaque_barrier_decays_without_overflow(self):
-        # kappa L / hbar = 728 to 732: cosh overflows, exp(-kappa L) is subnormal
+        # kappa L = 728 to 732: cosh overflows, exp(-kappa L) is subnormal
         p = np.array([0.5, 1.0, 2.0])
         kappa = np.sqrt(2.0 * 2000.0 - p**2)
         T = transmission_amplitude(p, 2000.0, 11.5)

@@ -9,10 +9,9 @@ from sts_toa.packet import (GaussianPacketSpec, SpectralAmplitude,
 
 class TestSpec:
     def test_rejects_nonpositive_scales(self):
-        for kw in ({"delta": -1.0}, {"m": 0.0}, {"hbar": -2.0}):
+        for kw in ({"delta": -1.0}, {"m": 0.0}):
             with pytest.raises(ValueError):
-                GaussianPacketSpec(x_i=0.0, p_i=1.0,
-                                   **{"delta": 1.0, "m": 1.0, "hbar": 1.0, **kw})
+                GaussianPacketSpec(x_i=0.0, p_i=1.0, **{"delta": 1.0, "m": 1.0, **kw})
 
     def test_scattering_regime_flag(self, spec):
         assert spec.in_scattering_regime()
@@ -86,10 +85,9 @@ class TestSpectralAmplitude:
         vals = np.ones(egrid.n, dtype=complex)
         vals[3] = np.nan
         with pytest.raises(ValueError):
-            SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid,
-                              m=1.0, hbar=1.0)
+            SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid, m=1.0)
 
     def test_rejects_shape_mismatch(self, egrid):
         with pytest.raises(ValueError):
             SpectralAmplitude(np.ones(7, dtype=complex),
-                              anchor_x=0.0, egrid=egrid, m=1.0, hbar=1.0)
+                              anchor_x=0.0, egrid=egrid, m=1.0)

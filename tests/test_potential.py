@@ -38,19 +38,19 @@ class TestPiecewise:
 
 class TestPhaseIntegral:
     def test_free_region(self):
-        theta = phase_theta(PiecewisePotential.free(), 2.0, 1.0, 1.0, 0.0, 50.0)
+        theta = phase_theta(PiecewisePotential.free(), 2.0, 1.0, 0.0, 50.0)
         assert theta == pytest.approx(100.0 + 0.0j)
 
     def test_forbidden_segment(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 1.0, 0.0, 10.0)
+        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 10.0)
         assert theta == pytest.approx(1j * 10.0 * np.sqrt(5.0))
 
     def test_mixed_path_additive(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 1.0, 0.0, 50.0)
+        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 50.0)
         assert theta == pytest.approx(80.0 + 1j * 10.0 * np.sqrt(5.0))
 
     def test_decay_nonnegative_forward(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 1.0, 0.0, 30.0)
+        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 30.0)
         assert np.imag(theta) >= 0.0
         assert np.real(theta) == pytest.approx(40.0)
 
@@ -60,7 +60,7 @@ class TestPhaseIntegral:
            st.floats(min_value=-20.0, max_value=40.0),
            st.floats(min_value=-20.0, max_value=40.0))
     def test_additivity_and_reversal(self, e, x0, x1, x2):
-        args = (BARRIER, e, 1.0, 1.0)
+        args = (BARRIER, e, 1.0)
         t01 = phase_theta(*args, x0, x1)
         t12 = phase_theta(*args, x1, x2)
         t02 = phase_theta(*args, x0, x2)
@@ -69,9 +69,9 @@ class TestPhaseIntegral:
 
     def test_energy_array_vectorized(self):
         e = np.linspace(0.5, 6.0, 64)
-        theta = phase_theta(BARRIER, e, 1.0, 1.0, 0.0, 50.0)
+        theta = phase_theta(BARRIER, e, 1.0, 0.0, 50.0)
         assert theta.shape == e.shape
-        single = phase_theta(BARRIER, float(e[10]), 1.0, 1.0, 0.0, 50.0)
+        single = phase_theta(BARRIER, float(e[10]), 1.0, 0.0, 50.0)
         assert theta[10] == pytest.approx(single)
 
 

@@ -10,8 +10,7 @@ the mass m is a parameter.
 """
 
 from .errors import (BoundaryAmbiguity, ConfigError, DivergenceWarning,
-                     GridMismatch, GridTooCoarse, ResonancePole,
-                     UnstableConfig, ZeroArrival)
+                     GridMismatch, GridTooCoarse, UnstableConfig, ZeroArrival)
 from .evolution import (TOADistribution, barrier_toa, free_kijowski,
                         propagate_closed_form, propagate_slices, toa_density)
 from .kijowski import model_distance, transmission_amplitude, transmitted_kijowski
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryAmbiguity", "ConfigError", "DivergenceWarning", "EnergyGrid",
     "GaussianPacketSpec", "GridMismatch", "GridTooCoarse", "PiecewisePotential",
-    "ResonancePole", "ScenarioConfig", "ScenarioResult", "SpectralAmplitude",
+    "ScenarioConfig", "ScenarioResult", "SpectralAmplitude",
     "SweepPoint", "TOADistribution", "TimeGrid", "UnstableConfig",
     "ZeroArrival", "barrier_toa", "complex_sqrt_2m", "default_energy_grid",
     "emit_csv", "emit_svg", "fourier_E_to_t", "free_kijowski",

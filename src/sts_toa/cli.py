@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import (ConfigError, DivergenceWarning, GridMismatch,
-                     GridTooCoarse, ResonancePole, UnstableConfig, ZeroArrival)
+                     GridTooCoarse, UnstableConfig, ZeroArrival)
 from .scenario import MODEL_NAMES, ScenarioConfig, emit_csv, emit_svg, run_scenario
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (ZeroArrival, GridTooCoarse, DivergenceWarning,
-                   UnstableConfig, GridMismatch, ResonancePole)
+                   UnstableConfig, GridMismatch)
 
 
 def _thread_cap() -> int:

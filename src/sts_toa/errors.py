@@ -1,8 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = ["GridTooCoarse", "BoundaryAmbiguity", "DivergenceWarning",
-           "ZeroArrival", "GridMismatch", "UnstableConfig", "ResonancePole",
-           "ConfigError"]
+           "ZeroArrival", "GridMismatch", "UnstableConfig", "ConfigError"]
 
 
 class GridTooCoarse(ValueError):
@@ -28,10 +27,6 @@ class GridMismatch(ValueError):
 
 class UnstableConfig(ValueError):
     """Grid-solver configuration violates its resolution/step-size bounds."""
-
-
-class ResonancePole(ArithmeticError):
-    """Transmission denominator vanished (cannot happen for real physical input)."""
 
 
 class ConfigError(ValueError):

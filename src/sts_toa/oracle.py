@@ -28,6 +28,24 @@ __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
 # the largest grid any test or benchmark uses
 _MAX_GRID_SIZE = 2**20
 
+# bound on the phase E_max dt of one CN step at the packet's top energy: CN
+# advances a component of energy E by 2 arctan(E dt / 2) rather than E dt,
+# a phase error of (E dt)^3 / 12 per step (3.4e-4 rad at the bound)
+_MAX_STEP_PHASE = 0.16
+
+
+def _absorber_width(spec: GaussianPacketSpec) -> float:
+    """Width of the absorbing ramps of a grid whose left wall sits at
+    x_i - 6 delta - width: 30, or 3 delta for wider packets, so that the wall
+    lies >= 9 delta from the packet centre, where |psi| < 1e-8 at t = 0."""
+    return max(30.0, 3.0 * spec.delta)
+
+
+def _top_momentum(spec: GaussianPacketSpec) -> float:
+    """p_max = p_i + 10 sigma_p, the top of the packet's momentum support;
+    E_max = p_max^2 / 2m bounds the CN step."""
+    return spec.p_i + 10.0 * spec.sigma_p
+
 
 def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
     """Plane-wave matching across a square barrier; returns (T, R).
@@ -70,11 +88,12 @@ def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
 class GridSolverConfig:
     """Space-time grid for the Crank-Nicolson propagator.
 
-    Validity bounds (checked against the packet before a run):
-      dx < 2 pi / (6 p_max)   -- resolve the shortest wavelength, with
-                                 p_max = p_i + 10 sigma_p
-      dt < m dx^2             -- phase-error comfort margin (the scheme
-                                 itself is unconditionally stable)
+    Validity bounds (checked against the packet before a run), with
+    p_max = p_i + 10 sigma_p and E_max = p_max^2 / 2m:
+      dx < 2 pi / (6 p_max)   -- resolve the shortest wavelength
+      E_max dt <= 0.16        -- phase per step at the top energy; the scheme
+                                 itself is unconditionally stable, but its
+                                 phase error per step grows as (E dt)^3 / 12
 
     ``absorber_width`` > 0 adds an imaginary quartic ramp of that width and
     height p_i^2 / 2m at both walls.
@@ -104,15 +123,16 @@ class GridSolverConfig:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
     def validate(self, spec: GaussianPacketSpec):
-        p_max = spec.p_i + 10.0 * spec.sigma_p
+        p_max = _top_momentum(spec)
         if not self.dx < 2.0 * np.pi / (6.0 * p_max):
             raise UnstableConfig(
                 f"dx = {self.dx:g} does not resolve p_max = {p_max:g} "
                 f"(needs dx < {2 * np.pi / (6 * p_max):g})")
-        if not self.dt < spec.m * self.dx**2:
+        e_max = p_max**2 / (2.0 * spec.m)
+        if not e_max * self.dt <= _MAX_STEP_PHASE:
             raise UnstableConfig(
-                f"dt = {self.dt:g} exceeds the phase-error bound "
-                f"m dx^2 = {spec.m * self.dx**2:g}")
+                f"dt = {self.dt:g} advances the top energy E_max = {e_max:g} "
+                f"by {e_max * self.dt:g} rad per step, more than {_MAX_STEP_PHASE}")
 
 
 @dataclass
@@ -175,6 +195,47 @@ def _lapack_info(routine: str, info: int):
         raise ValueError(f"{routine}: illegal value in argument {-info}")
 
 
+def _band_solver(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> A^-1 b for the pentadiagonal A in 7-row LAPACK band storage
+    ``ab`` (overwritten), from one LU factorisation (zgbtrf).
+
+    When the factorisation interchanged no rows, L and U are plain band
+    triangles, and two triangular band solves (ztbsv) do the arithmetic of
+    zgbtrs in the same order without the BLAS call per row that zgbtrs
+    makes for L; otherwise zgbtrs applies the interchanges.
+    """
+    # imported here so that the rest of the package loads without SciPy
+    from scipy.linalg.blas import ztbsv
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
+    _lapack_info("zgbtrf", info)
+    if np.array_equal(piv, np.arange(ab.shape[1])):
+        # L's multipliers sit in rows 5-6 under a diagonal row that diag=1
+        # ignores; U (rows 0-4) is read from lu in place, whose rows 5-6 lie
+        # past the band that ztbsv reads
+        low = np.asfortranarray(lu[4:])
+        return lambda b: ztbsv(4, lu, ztbsv(2, low, b, lower=1, diag=1),
+                               overwrite_x=1)
+
+    def solve(b):
+        chi, info = zgbtrs(lu, 2, 2, b, piv)
+        _lapack_info("zgbtrs", info)
+        return chi
+    return solve
+
+
+def _probe_index(cfg: GridSolverConfig, px: float) -> int:
+    """Index of the grid node at ``px``, at least two nodes inside the walls
+    (the derivative stencil's reach); ValueError if there is none."""
+    j = int(round((px - cfg.x_min) / cfg.dx))
+    if not (2 <= j < cfg.n_x - 2
+            and abs(cfg.x_min + j * cfg.dx - px) <= 1e-9 * max(1.0, abs(px))):
+        raise ValueError(f"probe position {px} is not a node of the solver grid "
+                         f"(spacing {cfg.dx:g}, walls at {cfg.x_min:g} and "
+                         f"{cfg.x_max:g})")
+    return j
+
+
 def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
                           cfg: GridSolverConfig,
                           probe_x: Sequence[float] = (),
@@ -190,11 +251,9 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     Scheme: with A = 1 + i H dt / 2, the step A psi^(n+1) = (2 - A) psi^n
     is taken as psi^(n+1) = 2 A^-1 psi^n - psi^n (Goldberg, Schey & Schwartz,
     Am. J. Phys. 35, 177 (1967)).  A is LU-factored once (LAPACK zgbtrf) and
-    each step is one banded solve (zgbtrs) with no product by 2 - A.  With
-    ``vt`` set, A changes every step and is re-factored.
+    each step is one banded solve (``_band_solver``) with no product by
+    2 - A.  With ``vt`` set, A changes every step and is re-factored.
     """
-    # imported here so that the rest of the package loads without SciPy
-    from scipy.linalg.lapack import zgbtrf, zgbtrs
     cfg.validate(spec)
     x = cfg.x
     dx = cfg.dx
@@ -226,27 +285,22 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
         # uniform shift only touches the interior diagonal
         shift = np.zeros(x.size, dtype=complex)
         shift[1:-1] = v_shift
-        ab = ab_off.copy()
+        ab = ab_off.copy(order="F")  # so that zgbtrf factors it in place
         ab[4] = 1.0 + alpha * (d0 + shift)
-        lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
-        _lapack_info("zgbtrf", info)
-        return lu, piv
+        return _band_solver(ab)
 
     if vt is None:
-        lu, piv = factor(0.0)
+        solve = factor(0.0)
 
     n_steps = int(round(cfg.t_final / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     norms = np.empty(n_steps + 1)
     norms[0] = dx * np.vdot(psi, psi).real
 
-    probe_idx = [int(round((px - cfg.x_min) / dx)) for px in probe_x]
-    for px, j in zip(probe_x, probe_idx):
-        if abs(x[j] - px) > 1e-9 * max(1.0, abs(px)):
-            raise ValueError(f"probe position {px} is not on the solver grid")
-    probes = {px: ProbeSeries(px, j, np.empty(n_steps + 1, dtype=complex),
+    probes = {px: ProbeSeries(px, _probe_index(cfg, px),
+                              np.empty(n_steps + 1, dtype=complex),
                               np.empty(n_steps + 1, dtype=complex))
-              for px, j in zip(probe_x, probe_idx)}
+              for px in probe_x}
 
     def record(i, psi):
         for series in probes.values():
@@ -259,10 +313,8 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     for i in range(1, n_steps + 1):
         if vt is not None:
-            lu, piv = factor(float(vt(times[i - 1] + 0.5 * cfg.dt)))
-        chi, info = zgbtrs(lu, 2, 2, psi, piv)
-        _lapack_info("zgbtrs", info)
-        psi = 2.0 * chi - psi
+            solve = factor(float(vt(times[i - 1] + 0.5 * cfg.dt)))
+        psi = 2.0 * solve(psi) - psi
         norms[i] = dx * np.vdot(psi, psi).real
         record(i, psi)
 
@@ -272,7 +324,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
 @dataclass
 class FluxSeries:
-    """Probability current at a fixed detector, sampled at solver steps.
+    """Probability current at a fixed detector, sampled at step midpoints.
 
     Deliberately not clipped: intervals of negative current (backflow) are
     physical output of this model and are reported as-is.
@@ -290,13 +342,24 @@ class FluxSeries:
 
 
 def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
-    """J(x_d, t) = (1/m) Im(psi* dpsi/dx) from a probed solver run."""
+    """J(x_d, t) = (1/m) Im(psi* dpsi/dx) from a probed solver run, at the
+    step midpoints t_n + dt/2.
+
+    psi and dpsi/dx are the averages (psi^n + psi^(n+1)) / 2 of the probe
+    values and derivatives over each step: CN's discrete continuity
+    equation carries the current of that average.  The current of psi^n
+    itself runs ahead of CN's transport velocity by a factor
+    1 + (E dt / 2)^2.
+    """
     if x_detector not in result.probes:
         raise ValueError(f"no probe was recorded at x = {x_detector}; pass it "
                          "in probe_x when running the solver")
     probe = result.probes[x_detector]
-    current = (1.0 / result.m) * np.imag(np.conj(probe.values) * probe.derivs)
-    return FluxSeries(result.times, current, x_detector)
+    psi = 0.5 * (probe.values[1:] + probe.values[:-1])
+    dpsi = 0.5 * (probe.derivs[1:] + probe.derivs[:-1])
+    current = (1.0 / result.m) * np.imag(np.conj(psi) * dpsi)
+    times = 0.5 * (result.times[1:] + result.times[:-1])
+    return FluxSeries(times, current, x_detector)
 
 
 def transmitted_norm(result: CNResult, x_cut: float) -> float:
@@ -314,22 +377,27 @@ def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
 
     The walls are snapped outward to multiples of dx so that segment edges
     and detectors at such multiples land on grid points; dt is the largest
-    step of at most 0.8 m dx^2 that divides t_final evenly.  A grid of more
-    than 2**20 points or steps raises ConfigError naming ``n_x`` or
-    ``t_final``, before anything is allocated.
+    step that divides t_final evenly and advances the packet's top energy
+    E_max = (p_i + 10 sigma_p)^2 / 2m by at most 0.16 rad.  CN accuracy is
+    set by that phase at the energies the packet holds, not by the grid's
+    shortest wavelength.  A grid of more than 2**20 points or steps raises
+    ConfigError naming ``n_x`` or ``t_final``, before anything is allocated.
     """
     with np.errstate(all="ignore"):
         x_min = np.floor(x_lo / dx) * dx
         x_max = np.ceil(x_hi / dx) * dx
         n_x = np.rint((x_max - x_min) / dx) + 1
-        dt_bound = spec.m * dx**2
-        n_steps = np.ceil(np.divide(t_final, 0.8 * dt_bound))
+        e_max = _top_momentum(spec) ** 2 / (2.0 * spec.m)
+        n_steps = np.ceil(t_final * e_max / _MAX_STEP_PHASE)
+        # one more step where rounding in the ceil left E_max dt just past the bound
+        n_steps += e_max * (t_final / n_steps) > _MAX_STEP_PHASE
     if not n_x <= _MAX_GRID_SIZE:
         raise ConfigError("n_x", f"[{x_lo:g}, {x_hi:g}] at dx = {dx:g} needs "
                                  f"{n_x:g} grid points, more than 2**20")
     if not 1 <= n_steps <= _MAX_GRID_SIZE:
-        raise ConfigError("t_final", f"{t_final:g} at dt <= {0.8 * dt_bound:g} needs "
-                                     f"{n_steps:g} steps, not in [1, 2**20]")
+        raise ConfigError("t_final", f"{t_final:g} at E_max dt <= {_MAX_STEP_PHASE} "
+                                     f"(E_max = {e_max:g}) needs {n_steps:g} steps, "
+                                     "not in [1, 2**20]")
     n_steps = int(n_steps)
     return GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=int(n_x),
                             dt=t_final / n_steps, t_final=t_final,
@@ -343,8 +411,12 @@ def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
 
     Returns (config, x_cut, t_measure): the transmitted norm is read beyond
     x_cut = L + 5 delta at t_measure = time_factor times the free classical
-    crossing time to x_cut.  The domain is sized so that neither the
-    transmitted front nor the reflected packet reaches a wall by t_measure.
+    crossing time to x_cut.  The domain runs from x_i - 6 delta to where the
+    transmitted front has not reached by t_measure, and each end carries an
+    absorbing ramp beyond that, 30 wide (3 delta for packets wider than
+    delta = 10).  The left ramp swallows the reflected packet, which
+    ``transmitted_norm`` never reads, so the domain is not sized to carry it
+    until t_measure.
     """
     v = spec.p_i / spec.m
     x_cut = length + 5.0 * spec.delta
@@ -352,9 +424,11 @@ def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
     # spread of the dispersing packet by t_meas
     width_t = spec.delta * np.sqrt(1.0 + (t_meas / (2.0 * spec.m * spec.delta**2)) ** 2)
     pad = 6.0 * width_t
-    x_lo = min(spec.x_i - v * t_meas - pad, spec.x_i - pad)
-    x_hi = max(spec.x_i + v * t_meas + pad, x_cut + pad)
-    cfg = snapped_grid_config(spec, x_lo, x_hi, t_meas, dx_target)
+    absorber = _absorber_width(spec)
+    x_lo = spec.x_i - 6.0 * spec.delta - absorber
+    x_hi = max(spec.x_i + v * t_meas + pad, x_cut + pad) + absorber
+    cfg = snapped_grid_config(spec, x_lo, x_hi, t_meas, dx_target,
+                              absorber_width=absorber)
     return cfg, x_cut, t_meas
 
 

@@ -24,8 +24,8 @@ from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
-from .oracle import (GridSolverConfig, crank_nicolson_evolve, flux_toa,
-                     snapped_grid_config)
+from .oracle import (GridSolverConfig, _absorber_width, _probe_index,
+                     crank_nicolson_evolve, flux_toa, snapped_grid_config)
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
@@ -141,22 +141,25 @@ class ScenarioConfig:
         self._check_derived_scales()
         if "flux_oracle" in self.models:
             try:
-                _flux_solver_grid(self)
+                _probe_index(_flux_solver_grid(self), self.detector_x)
             except ConfigError as exc:
                 field_name = "detector_x" if exc.field == "n_x" else "tgrid.t_max"
                 raise ConfigError(field_name, f"flux_oracle solver grid: {exc}") from exc
+            except ValueError as exc:  # detector off the grid's nodes, or left of the packet
+                raise ConfigError("detector_x", f"flux_oracle solver grid: {exc}") from exc
 
     def _check_derived_scales(self):
         """Reject finite inputs whose derived weights or phases overflow.
 
         The pipeline forms the momenta P = sqrt(2 m E) and weights
         (m / 2E)^(1/4) at the energy-grid ends, the packet's prefactor
-        (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x and
-        the barrier exponent sqrt(2 m (E - V0)) L; one of them past the float
-        range would end the run in non-finite amplitudes.  A phase (the real
-        part of the barrier exponent included) of magnitude >= 2**52 rad is
-        rejected as well: there adjacent doubles lie >= 1 rad apart, so the
-        phase carries no digits.
+        (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x, the
+        time-window phases E t_min and E t_max and the barrier exponent
+        sqrt(2 m (E - V0)) L; one of them past the float range would end the
+        run in non-finite amplitudes.  A phase (the real part of the barrier
+        exponent included) of magnitude >= 2**52 rad is rejected as well:
+        there adjacent doubles lie >= 1 rad apart, so the phase carries no
+        digits.
         """
         spec = self.packet
         egrid = _build("packet", self.energy_grid)
@@ -172,6 +175,8 @@ class ScenarioConfig:
                  (2.0 * np.float64(spec.delta) ** 2 / np.pi) ** 0.25, False),
                 ("packet.x_i", "phase P x_i", P * spec.x_i, True),
                 ("detector_x", "phase P x", P * self.detector_x, True),
+                ("tgrid.t_min", "phase E t_min", E * self.tgrid.t_min, True),
+                ("tgrid.t_max", "phase E t_max", E * self.tgrid.t_max, True),
             ] + [("barrier.v0", f"exponent sqrt(2 m (E - V0)) L at V0 = {v0:g}",
                   complex_sqrt_2m(E, v0, spec.m) * self.barrier_length, True)
                  for v0 in self.v0_list]
@@ -322,7 +327,7 @@ def _flux_solver_grid(cfg: ScenarioConfig) -> GridSolverConfig:
     wall reflections never reach the detector inside the time window.
     """
     spec = cfg.packet
-    absorber = 30.0
+    absorber = _absorber_width(spec)
     # probe-derivative accuracy is O(dx^4); dx = 0.25 visibly biases the integral
     return snapped_grid_config(spec, spec.x_i - 6.0 * spec.delta - absorber,
                                cfg.detector_x + 8.0 * spec.delta + absorber,

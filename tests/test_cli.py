@@ -76,17 +76,42 @@ class TestExitCodes:
          "detector_x"),
         ({"preset": "fig2", "tgrid": {"t_max": 1e7}, "models": ["flux_oracle"]},
          "tgrid.t_max"),
+        ({"preset": "fig2", "detector_x": 50.01, "models": ["flux_oracle"],
+          "tgrid": {"t_max": 1.0}}, "detector_x"),
+        ({"preset": "fig2", "detector_x": -300.0, "models": ["flux_oracle"],
+          "tgrid": {"t_max": 1.0}}, "detector_x"),
+        ({"preset": "fig2", "barrier": {"v0": [0.0]},
+          "tgrid": {"t_min": 1e17, "t_max": 1.0000000000000015e17, "n": 64}},
+         "tgrid.t_min"),
+        ({"preset": "fig2", "barrier": {"v0": [0.0]},
+          "tgrid": {"t_min": 0.0, "t_max": 1e17, "n": 64}}, "tgrid.t_max"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
             "x_i-infinite", "v0-nan", "v0-int-past-float-range", "huge-slice-count",
             "huge-tgrid", "huge-egrid", "v0-exponent-overflows",
             "detector-phase-overflows", "x_i-phase-overflows",
-            "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long"])
+            "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long",
+            "flux-detector-off-grid", "flux-detector-left-of-packet",
+            "t_min-phase-without-digits",
+            "t_max-phase-without-digits"])
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
+
+    def test_energy_floor_far_below_the_packet(self, capsys, tmp_path):
+        # |T| <= 1 forces |den| >= 4P > 0 in transmission_amplitude, so tiny
+        # momenta (P ~ 1e-40 here) are no pole
+        cfg = {"preset": "fig2", "barrier": {"v0": [0.0]},
+               "egrid": {"e_min": 1e-80, "e_max": 3.125, "n": 16384},
+               "models": ["kijowski_transmitted"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        (point,) = json.loads(out)["points"]
+        assert point["arrival_probability"]["kijowski_transmitted"] == pytest.approx(1.0)
 
     # 1e6 asks for solver grids of 1e9 points and more; 1e300 overflows their size
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e6", "1e300"])
@@ -107,20 +132,39 @@ def _fields(**optional):
     return st.fixed_dictionaries({}, optional=optional)
 
 
-_CONFIGS = st.fixed_dictionaries({"preset": st.just("fig2")}, optional={
-    "packet": _fields(x_i=_NUMBER, p_i=_NUMBER, delta=_NUMBER, m=_NUMBER,
-                      hbar=_NUMBER),
+_CLOSED_FORM = st.lists(st.sampled_from(["sts", "kijowski_transmitted",
+                                          "kijowski_free"]), unique=True, max_size=3)
+_SHARED = {
     "barrier": _fields(v0=st.lists(_NUMBER, min_size=1, max_size=2),
                        length=_NUMBER),
     "detector_x": _NUMBER,
-    "tgrid": st.fixed_dictionaries({"t_min": _NUMBER, "t_max": _NUMBER, "n": _N}),
     "egrid": st.fixed_dictionaries({"e_min": _NUMBER, "e_max": _NUMBER, "n": _N}),
-    # the closed-form models only: flux_oracle runs the grid solver, which
-    # takes seconds per example
-    "models": st.lists(st.sampled_from(["sts", "kijowski_transmitted",
-                                        "kijowski_free"]), unique=True, max_size=3),
     "method": st.sampled_from(["closed", "slices:3"]),
-})
+}
+
+_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"preset": st.just("fig2")}, optional={
+        **_SHARED,
+        "packet": _fields(x_i=_NUMBER, p_i=_NUMBER, delta=_NUMBER, m=_NUMBER,
+                          hbar=_NUMBER),
+        "tgrid": st.fixed_dictionaries({"t_min": _NUMBER, "t_max": _NUMBER, "n": _N}),
+        "models": _CLOSED_FORM,
+    }),
+    # flux_oracle runs the grid solver for t_max * E_max / 0.16 steps, so the
+    # window stays short and p_i and m, which set E_max, keep their fig2
+    # values: a run then takes at most ~100 steps.  The detector is probed at
+    # a solver node, and nodes sit at multiples of dx = 0.125.
+    st.fixed_dictionaries({
+        "preset": st.just("fig2"),
+        "models": _CLOSED_FORM.map(lambda names: names + ["flux_oracle"]),
+        "tgrid": st.fixed_dictionaries({"t_min": st.floats(-5.0, 0.0),
+                                        "t_max": st.floats(0.0, 5.0), "n": _N}),
+    }, optional={
+        **_SHARED,
+        "detector_x": st.one_of(_NUMBER, st.integers(-1600, 1600).map(lambda k: k / 8)),
+        "packet": _fields(x_i=_NUMBER, delta=_NUMBER),
+    }),
+)
 
 
 class TestExitCodeContract:

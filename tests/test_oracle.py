@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import UnstableConfig
-from sts_toa.oracle import (GridSolverConfig, _lapack_info, crank_nicolson_evolve,
-                            flux_toa, time_potential_solution, transfer_matrix_T,
+from sts_toa.oracle import (GridSolverConfig, _band_solver, _lapack_info,
+                            barrier_oracle_config, crank_nicolson_evolve, flux_toa,
+                            time_potential_solution, transfer_matrix_T,
                             transmitted_norm)
-from sts_toa.packet import GaussianPacketSpec
+from sts_toa.packet import GaussianPacketSpec, psi_position
 from sts_toa.potential import PiecewisePotential
 
 
@@ -40,6 +41,18 @@ class TestSolverConfig:
                                dt=0.5, t_final=1.0)
         with pytest.raises(UnstableConfig):
             cfg.validate(spec)
+
+
+@pytest.mark.parametrize("delta", [1.0, 10.0, 40.0])
+def test_absorbing_grids_clear_the_packet(delta, tgrid):
+    # crank_nicolson_evolve rejects |psi| > 1e-8 at a wall; both absorbing
+    # grids put the left wall at x_i - 6 delta - (absorber width)
+    from sts_toa.scenario import ScenarioConfig, _flux_solver_grid
+    spec = GaussianPacketSpec(x_i=-5.0 * delta - 1.0, p_i=2.0, delta=delta)
+    flux_cfg = ScenarioConfig(packet=spec, v0_list=(0.0,), barrier_length=10.0,
+                              detector_x=50.0, tgrid=tgrid, models=("flux_oracle",))
+    for cfg in (barrier_oracle_config(spec, 10.0)[0], _flux_solver_grid(flux_cfg)):
+        assert abs(psi_position(spec, np.array([cfg.x_min]))[0]) < 1e-8
 
 
 FREE_GRID = GridSolverConfig(x_min=-152.0, x_max=64.0, n_x=865,
@@ -102,6 +115,35 @@ class TestCrankNicolson:
         info = zgbtrf(ab, 2, 2)[2]
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot at diagonal 5"):
             _lapack_info("zgbtrf", info)
+
+    def test_time_step_error_is_small(self, spec):
+        # the coarse Richardson grid of the oracle-cn benchmark (V0 = 1.125,
+        # time factor 1.5) at its own dt and at dt / 2: CN's O(dt^2) error
+        # at E_max dt = 0.16 stays far inside the oracle's 1e-3 tolerance
+        cfg, x_cut, _ = barrier_oracle_config(spec, 10.0, time_factor=1.5,
+                                              dx_target=0.25)
+        pot = PiecewisePotential.square_barrier(1.125, 10.0)
+        coarse, fine = (transmitted_norm(crank_nicolson_evolve(spec, pot, c), x_cut)
+                        for c in (cfg, dataclasses.replace(cfg, dt=cfg.dt / 2)))
+        assert abs(fine - coarse) < 1e-4
+
+    # a CN-like matrix, whose LU needs no row interchange, and one with a
+    # small diagonal, whose LU interchanges rows
+    @pytest.mark.parametrize("diag, pivots", [(1.0 + 2.5j, False), (0.01, True)])
+    def test_band_solver_matches_zgbtrs(self, diag, pivots):
+        from scipy.linalg.lapack import zgbtrf, zgbtrs
+        rng = np.random.default_rng(3)
+        n = 64
+        ab = np.zeros((7, n), dtype=complex)
+        ab[2:7] = 1j * rng.uniform(-1.0, 1.0, (5, n))
+        ab[4] = diag
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lu, piv, _ = zgbtrf(ab, 2, 2)
+        assert np.array_equal(piv, np.arange(n)) != pivots
+        ref = zgbtrs(lu, 2, 2, b, piv)[0]
+        got = _band_solver(ab.copy())(b)
+        # the same operations in the same order
+        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
     def test_transmitted_norm_before_crossing_is_zero(self, free_run):
         # after 20 time units the dispersing tail has not reached x = 50

@@ -9,8 +9,8 @@ quantity that both frameworks can compute.  Units are natural, hbar = 1;
 the mass m is a parameter.
 """
 
-from .errors import (BoundaryAmbiguity, ConfigError, DivergenceWarning,
-                     GridMismatch, GridTooCoarse, UnstableConfig, ZeroArrival)
+from .errors import (ConfigError, DivergenceWarning, GridMismatch, GridTooCoarse,
+                     UnstableConfig, ZeroArrival)
 from .evolution import (TOADistribution, barrier_toa, free_kijowski,
                         propagate_closed_form, propagate_slices, toa_density)
 from .kijowski import model_distance, transmission_amplitude, transmitted_kijowski
@@ -24,14 +24,13 @@ from .scenario import (ScenarioConfig, ScenarioResult, SweepPoint, emit_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryAmbiguity", "ConfigError", "DivergenceWarning", "EnergyGrid",
-    "GaussianPacketSpec", "GridMismatch", "GridTooCoarse", "PiecewisePotential",
-    "ScenarioConfig", "ScenarioResult", "SpectralAmplitude",
-    "SweepPoint", "TOADistribution", "TimeGrid", "UnstableConfig",
-    "ZeroArrival", "barrier_toa", "complex_sqrt_2m", "default_energy_grid",
-    "emit_csv", "emit_svg", "fourier_E_to_t", "free_kijowski",
-    "model_distance", "phase_theta", "propagate_closed_form",
-    "propagate_slices", "psi_momentum", "psi_position", "run_scenario",
-    "sc_initial_amplitude", "toa_density", "transmission_amplitude",
-    "transmitted_kijowski",
+    "ConfigError", "DivergenceWarning", "EnergyGrid", "GaussianPacketSpec",
+    "GridMismatch", "GridTooCoarse", "PiecewisePotential", "ScenarioConfig",
+    "ScenarioResult", "SpectralAmplitude", "SweepPoint", "TOADistribution",
+    "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_toa",
+    "complex_sqrt_2m", "default_energy_grid", "emit_csv", "emit_svg",
+    "fourier_E_to_t", "free_kijowski", "model_distance", "phase_theta",
+    "propagate_closed_form", "propagate_slices", "psi_momentum",
+    "psi_position", "run_scenario", "sc_initial_amplitude", "toa_density",
+    "transmission_amplitude", "transmitted_kijowski",
 ]

@@ -1,15 +1,11 @@
 """Exception types shared across the package."""
 
-__all__ = ["GridTooCoarse", "BoundaryAmbiguity", "DivergenceWarning",
-           "ZeroArrival", "GridMismatch", "UnstableConfig", "ConfigError"]
+__all__ = ["GridTooCoarse", "DivergenceWarning", "ZeroArrival", "GridMismatch",
+           "UnstableConfig", "ConfigError"]
 
 
 class GridTooCoarse(ValueError):
     """Energy grid spacing too coarse for the requested time window (aliasing risk)."""
-
-
-class BoundaryAmbiguity(ValueError):
-    """Quantity requested exactly on a potential-segment edge; displace by +/- eps."""
 
 
 class DivergenceWarning(FloatingPointError):

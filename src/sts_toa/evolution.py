@@ -41,18 +41,15 @@ _ARRIVAL_FLOOR = 1e-300
 class TOADistribution:
     """Arrival-time density on a time grid.
 
-    ``arrival_probability`` is the unnormalized norm of the state at the
-    detector (the probability the particle ever arrives there); it is always
-    reported as computed so the non-unitarity of forbidden-region translation
-    stays observable.  ``density`` integrates to 1 on its grid when
-    ``normalized`` is set.
+    ``arrival_probability`` is the unscaled norm of the state at the detector
+    (the probability the particle ever arrives there); it is always reported
+    as computed so the non-unitarity of forbidden-region translation stays
+    observable.  ``density`` integrates to 1 on its grid.
     """
 
     tgrid: TimeGrid
     density: np.ndarray
     arrival_probability: float
-    detector_x: float
-    normalized: bool
 
     def __post_init__(self):
         d = np.asarray(self.density, dtype=float)
@@ -126,14 +123,13 @@ def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
 
 
 def toa_density(amps: SpectralAmplitude, x: float, tgrid: TimeGrid,
-                normalize: bool = True, method: str = "fft") -> TOADistribution:
+                method: str = "fft") -> TOADistribution:
     """Assemble the arrival-time density at x from a translated amplitude.
 
-    density(t) = |F[amp](t)|^2, with F the energy->time transform.  The
-    unnormalized arrival probability is the energy integral of the squared
-    amplitude.  When ``normalize`` is set the density is scaled to unit
-    integral on its grid (the representable part of the arrival-time
-    support).
+    density(t) = |F[amp](t)|^2, with F the energy->time transform, scaled to
+    unit integral on its grid (the representable part of the arrival-time
+    support).  The unscaled arrival probability is the energy integral of
+    the squared amplitude.
     """
     if not np.isclose(amps.anchor_x, x, rtol=0.0, atol=1e-12):
         raise ValueError(f"amplitude anchored at {amps.anchor_x}, expected {x}")
@@ -144,17 +140,14 @@ def toa_density(amps: SpectralAmplitude, x: float, tgrid: TimeGrid,
 
     series = fourier_E_to_t(amps.values, egrid, tgrid, method=method)
     density = np.abs(series) ** 2
-    if normalize:
-        norm = float(trapezoid_complex(density, tgrid.spacing).real)
-        if norm < _ARRIVAL_FLOOR:
-            raise ZeroArrival(f"no density mass inside the time window at x = {x}")
-        density = density / norm
-    return TOADistribution(tgrid, density, arrival_probability=arrival,
-                           detector_x=x, normalized=normalize)
+    norm = float(trapezoid_complex(density, tgrid.spacing).real)
+    if norm < _ARRIVAL_FLOOR:
+        raise ZeroArrival(f"no density mass inside the time window at x = {x}")
+    return TOADistribution(tgrid, density / norm, arrival_probability=arrival)
 
 
 def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
-                  egrid: EnergyGrid | None = None, normalize: bool = True,
+                  egrid: EnergyGrid | None = None,
                   method: str = "fft") -> TOADistribution:
     """Arrival-time density of the free positive-momentum packet at x.
 
@@ -168,12 +161,12 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     P = np.sqrt(2.0 * spec.m * egrid.samples)
     values = amps0.values * np.exp(1j * P * x)
     amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
-    return toa_density(amps, x, tgrid, normalize=normalize, method=method)
+    return toa_density(amps, x, tgrid, method=method)
 
 
 def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
                 tgrid: TimeGrid, egrid: EnergyGrid | None = None,
-                normalize: bool = True, method: str = "fft",
+                method: str = "fft",
                 n_slices: int | None = None) -> TOADistribution:
     """Space-conditional arrival-time density behind a square barrier.
 
@@ -192,4 +185,4 @@ def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
         amps = propagate_closed_form(amps, pot, x)
     else:
         amps = propagate_slices(amps, pot, x, n_slices)
-    return toa_density(amps, x, tgrid, normalize=normalize, method=method)
+    return toa_density(amps, x, tgrid, method=method)

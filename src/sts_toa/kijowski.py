@@ -57,9 +57,8 @@ def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
 def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
                          x: float, tgrid: TimeGrid,
                          egrid: EnergyGrid | None = None,
-                         normalize: bool = True,
                          method: str = "fft") -> TOADistribution:
-    """Normalized Kijowski arrival-time density of the transmitted packet at x > L.
+    """Kijowski arrival-time density of the transmitted packet at x > L.
 
     Sampled on the same energy grid as the space-conditional model (momenta
     P = sqrt(2mE)), so model distances carry no interpolation error.  The
@@ -74,7 +73,7 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
     T = transmission_amplitude(P, v0, length, m=spec.m)
     values = T * base.values * np.exp(1j * P * x)
     amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
-    return toa_density(amps, x, tgrid, normalize=normalize, method=method)
+    return toa_density(amps, x, tgrid, method=method)
 
 
 def model_distance(a: TOADistribution, b: TOADistribution) -> float:

@@ -42,9 +42,9 @@ def _absorber_width(spec: GaussianPacketSpec) -> float:
 
 
 def _top_momentum(spec: GaussianPacketSpec) -> float:
-    """p_max = p_i + 10 sigma_p, the top of the packet's momentum support;
+    """p_max = |p_i| + 10 sigma_p, the top of the packet's |p| support;
     E_max = p_max^2 / 2m bounds the CN step."""
-    return spec.p_i + 10.0 * spec.sigma_p
+    return abs(spec.p_i) + 10.0 * spec.sigma_p
 
 
 def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
@@ -89,7 +89,7 @@ class GridSolverConfig:
     """Space-time grid for the Crank-Nicolson propagator.
 
     Validity bounds (checked against the packet before a run), with
-    p_max = p_i + 10 sigma_p and E_max = p_max^2 / 2m:
+    p_max = |p_i| + 10 sigma_p and E_max = p_max^2 / 2m:
       dx < 2 pi / (6 p_max)   -- resolve the shortest wavelength
       E_max dt <= 0.16        -- phase per step at the top energy; the scheme
                                  itself is unconditionally stable, but its
@@ -139,7 +139,6 @@ class GridSolverConfig:
 class ProbeSeries:
     """Per-step record at one grid point: value and spatial derivative."""
 
-    x: float
     index: int
     values: np.ndarray
     derivs: np.ndarray
@@ -158,12 +157,12 @@ class CNResult:
 def _sample_potential(pot: PiecewisePotential, xs: np.ndarray) -> np.ndarray:
     """Grid sampling of V; points exactly on a segment edge take the mean of
     the one-sided limits (second-order accurate step representation)."""
-    v = np.array([pot.value_at(float(x)) for x in xs])
+    v = np.zeros(xs.shape)
+    for seg in pot.segments:
+        v[(seg.x_start <= xs) & (xs < seg.x_end)] = seg.v
     for x_edge in pot.edges:
-        hits = np.nonzero(xs == x_edge)[0]
-        for j in hits:
-            eps = 1e-9 * max(1.0, abs(x_edge))
-            v[j] = 0.5 * (pot.value_at(x_edge - eps) + pot.value_at(x_edge + eps))
+        eps = 1e-9 * max(1.0, abs(x_edge))
+        v[xs == x_edge] = 0.5 * (pot.value_at(x_edge - eps) + pot.value_at(x_edge + eps))
     return v
 
 
@@ -297,7 +296,7 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     norms = np.empty(n_steps + 1)
     norms[0] = dx * np.vdot(psi, psi).real
 
-    probes = {px: ProbeSeries(px, _probe_index(cfg, px),
+    probes = {px: ProbeSeries(_probe_index(cfg, px),
                               np.empty(n_steps + 1, dtype=complex),
                               np.empty(n_steps + 1, dtype=complex))
               for px in probe_x}
@@ -332,13 +331,6 @@ class FluxSeries:
 
     times: np.ndarray
     current: np.ndarray
-    detector_x: float
-
-    def time_integral(self) -> float:
-        return float(np.trapezoid(self.current, self.times))
-
-    def normalized(self) -> np.ndarray:
-        return self.current / self.time_integral()
 
 
 def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
@@ -359,7 +351,7 @@ def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
     dpsi = 0.5 * (probe.derivs[1:] + probe.derivs[:-1])
     current = (1.0 / result.m) * np.imag(np.conj(psi) * dpsi)
     times = 0.5 * (result.times[1:] + result.times[:-1])
-    return FluxSeries(times, current, x_detector)
+    return FluxSeries(times, current)
 
 
 def transmitted_norm(result: CNResult, x_cut: float) -> float:
@@ -378,7 +370,7 @@ def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
     The walls are snapped outward to multiples of dx so that segment edges
     and detectors at such multiples land on grid points; dt is the largest
     step that divides t_final evenly and advances the packet's top energy
-    E_max = (p_i + 10 sigma_p)^2 / 2m by at most 0.16 rad.  CN accuracy is
+    E_max = (|p_i| + 10 sigma_p)^2 / 2m by at most 0.16 rad.  CN accuracy is
     set by that phase at the energies the packet holds, not by the grid's
     shortest wavelength.  A grid of more than 2**20 points or steps raises
     ConfigError naming ``n_x`` or ``t_final``, before anything is allocated.

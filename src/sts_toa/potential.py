@@ -14,10 +14,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BoundaryAmbiguity
 from .numerics import complex_sqrt_2m
 
-__all__ = ["Segment", "PiecewisePotential", "phase_theta", "local_momentum"]
+__all__ = ["Segment", "PiecewisePotential", "phase_theta"]
 
 
 class Segment(NamedTuple):
@@ -65,9 +64,6 @@ class PiecewisePotential:
                 return s.v
         return 0.0
 
-    def is_edge(self, x: float) -> bool:
-        return any(x == s.x_start or x == s.x_end for s in self.segments)
-
     def pieces(self, a: float, b: float) -> list[tuple[float, float]]:
         """Split [a, b] (a < b) at segment edges; yields (length, V) pairs."""
         cuts = sorted({a, b, *(e for e in self.edges if a < e < b)})
@@ -92,15 +88,3 @@ def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float):
     for length, v in pot.pieces(x0, x):
         theta = theta + length * complex_sqrt_2m(E, v, m)
     return theta
-
-
-def local_momentum(pot: PiecewisePotential, E: float, m: float, x: float):
-    """Momentum eigenvalue pair (+p, -p) at x, p = sqrt(2m[E - V(x)]).
-
-    Raises BoundaryAmbiguity when x sits exactly on a segment edge, where the
-    one-sided values differ; displace the query point by +/- eps instead.
-    """
-    if pot.is_edge(x):
-        raise BoundaryAmbiguity(f"x = {x} coincides with a segment edge")
-    p = complex_sqrt_2m(E, pot.value_at(x), m)
-    return p, -p

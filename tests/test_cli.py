@@ -23,6 +23,14 @@ class TestExitCodes:
                              str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["invalid-json", "not-an-object"])
+    def test_config_file_not_a_json_object(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2 and "config error: --config:" in err
+
     def test_bad_v0_list(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig2",
                                "--v0", "1.0,potato")

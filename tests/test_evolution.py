@@ -102,7 +102,7 @@ class TestFreeArrival:
         assert 48.0 <= dist.peak_time() <= 52.0
 
     def test_always_arrives(self, spec, tgrid):
-        dist = free_kijowski(spec, 50.0, tgrid, normalize=False)
+        dist = free_kijowski(spec, 50.0, tgrid)
         assert dist.arrival_probability == pytest.approx(1.0, abs=1e-6)
 
     def test_momentum_phase_shifts_density(self, spec, egrid):

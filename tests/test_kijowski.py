@@ -102,8 +102,8 @@ class TestModelDistance:
         right[600:701] = 1.0
         left /= np.trapezoid(left, dx=tg.spacing)
         right /= np.trapezoid(right, dx=tg.spacing)
-        a = TOADistribution(tg, left, 1.0, 0.0, True)
-        b = TOADistribution(tg, right, 1.0, 0.0, True)
+        a = TOADistribution(tg, left, 1.0)
+        b = TOADistribution(tg, right, 1.0)
         assert model_distance(a, b) == pytest.approx(2.0, rel=1e-12)
 
     def test_grid_mismatch_rejected(self, spec, tgrid):

@@ -5,7 +5,8 @@ import pytest
 
 from sts_toa.errors import UnstableConfig
 from sts_toa.oracle import (GridSolverConfig, _band_solver, _lapack_info,
-                            barrier_oracle_config, crank_nicolson_evolve, flux_toa,
+                            _sample_potential, barrier_oracle_config,
+                            crank_nicolson_evolve, flux_toa,
                             time_potential_solution, transfer_matrix_T,
                             transmitted_norm)
 from sts_toa.packet import GaussianPacketSpec, psi_position
@@ -41,6 +42,52 @@ class TestSolverConfig:
                                dt=0.5, t_final=1.0)
         with pytest.raises(UnstableConfig):
             cfg.validate(spec)
+
+
+@pytest.mark.parametrize("p_i", [-0.2, -2.0])
+def test_step_bound_holds_for_left_moving_packets(p_i):
+    # the packet's top speed is |p_i| + 10 sigma_p whichever way it moves
+    from sts_toa.scenario import ScenarioConfig, _flux_solver_grid
+    cfg = ScenarioConfig.from_dict({"preset": "fig2", "packet": {"p_i": p_i},
+                                    "models": ["flux_oracle"],
+                                    "tgrid": {"t_max": 10.0}})
+    spec = cfg.packet
+    grid = _flux_solver_grid(cfg)
+    e_max = (abs(p_i) + 10.0 * spec.sigma_p) ** 2 / (2.0 * spec.m)
+    assert e_max * grid.dt <= 0.16
+    grid.validate(spec)
+
+
+class TestSamplePotential:
+    @staticmethod
+    def per_node(pot, xs):
+        """value_at node by node; a node on an edge takes the mean of the
+        one-sided limits."""
+        v = []
+        for x in xs:
+            x = float(x)
+            if x in pot.edges:
+                eps = 1e-9 * max(1.0, abs(x))
+                v.append(0.5 * (pot.value_at(x - eps) + pot.value_at(x + eps)))
+            else:
+                v.append(pot.value_at(x))
+        return np.array(v)
+
+    def test_square_barrier(self):
+        pot = PiecewisePotential.square_barrier(1.8, 10.0)
+        xs = np.linspace(-5.0, 15.0, 161)  # dx = 0.125: both edges are nodes
+        v = _sample_potential(pot, xs)
+        assert list(v[np.isin(xs, (0.0, 10.0))]) == [0.9, 0.9]
+        assert np.all(v[(xs > 0.0) & (xs < 10.0)] == 1.8)
+        assert np.all(v[(xs < 0.0) | (xs > 10.0)] == 0.0)
+        assert np.array_equal(v, self.per_node(pot, xs))
+
+    def test_shared_edge_takes_mean_of_heights(self):
+        pot = PiecewisePotential(((0.0, 4.0, 1.0), (4.0, 10.0, 3.0)))
+        xs = np.linspace(-2.0, 12.0, 57)  # dx = 0.25
+        v = _sample_potential(pot, xs)
+        assert [v[xs == e][0] for e in (0.0, 4.0, 10.0)] == [0.5, 2.0, 1.5]
+        assert np.array_equal(v, self.per_node(pot, xs))
 
 
 @pytest.mark.parametrize("delta", [1.0, 10.0, 40.0])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sts_toa.errors import BoundaryAmbiguity
-from sts_toa.potential import PiecewisePotential, local_momentum, phase_theta
+from sts_toa.potential import PiecewisePotential, phase_theta
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
 
@@ -29,7 +28,6 @@ class TestPiecewise:
 
     def test_edges(self):
         assert BARRIER.edges == (0.0, 10.0)
-        assert BARRIER.is_edge(10.0) and not BARRIER.is_edge(5.0)
 
     def test_pieces_split_at_edges(self):
         pieces = BARRIER.pieces(-5.0, 15.0)
@@ -73,22 +71,3 @@ class TestPhaseIntegral:
         assert theta.shape == e.shape
         single = phase_theta(BARRIER, float(e[10]), 1.0, 0.0, 50.0)
         assert theta[10] == pytest.approx(single)
-
-
-class TestLocalMomentum:
-    def test_free_pair(self):
-        assert local_momentum(PiecewisePotential.free(), 2.0, 1.0, 3.0) == \
-            pytest.approx((2.0, -2.0))
-
-    def test_forbidden_pair(self):
-        plus, minus = local_momentum(BARRIER, 2.0, 1.0, 5.0)
-        assert plus == pytest.approx(1j * np.sqrt(5.0))
-        assert minus == pytest.approx(-1j * np.sqrt(5.0))
-
-    def test_turning_point(self):
-        plus, minus = local_momentum(BARRIER, 4.5, 1.0, 5.0)
-        assert plus == 0.0 and minus == 0.0
-
-    def test_edge_is_ambiguous(self):
-        with pytest.raises(BoundaryAmbiguity):
-            local_momentum(BARRIER, 2.0, 1.0, 10.0)

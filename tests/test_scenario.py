@@ -66,17 +66,6 @@ class TestConfigParsing:
             fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 1})
         assert exc.value.field == "tgrid"
 
-    def test_bad_json_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_json("{not json")
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_json("[1, 2]")
-
-    def test_round_trip(self):
-        cfg = fig2(method="slices:25", egrid={"e_min": 1.0, "e_max": 3.0, "n": 4096})
-        again = ScenarioConfig.from_json(json.dumps(cfg.to_dict()))
-        assert again == cfg
-
 
 @pytest.fixture(scope="module")
 def small_result():

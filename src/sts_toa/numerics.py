@@ -8,11 +8,15 @@ is evaluated on uniform grids either by direct (chunked) trapezoid
 quadrature or by Bluestein's chirp-z algorithm on ``numpy.fft``.  Both paths
 apply identical trapezoid end weights, so they approximate the same Riemann
 sum and agree to rounding error; the direct path is kept permanently as a
-validation oracle.
+validation oracle.  The chirp-z path keeps one plan per (energy grid, time
+grid) pair: the chirp, the kernel's FFT and the pre/post phase factors are
+built once, on an FFT length of the form 2**a, 3 * 2**a or 5 * 2**a, and
+every transform on that grid pair costs two FFTs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,21 +116,41 @@ def _check_nyquist(egrid: EnergyGrid, tgrid: TimeGrid):
         )
 
 
-def _chirp_z(x, m: int, theta: float, phi: float) -> np.ndarray:
-    """sum_j x_j exp(i (phi + k theta) j) for k < m, by Bluestein's algorithm:
-    jk = (j^2 + k^2 - (k - j)^2) / 2 makes it a convolution with a chirp, done
-    by FFTs of the smallest power-of-two length >= n + m - 1.  The chirp's
-    phase is computed from theta: a power of exp(i theta) would amplify that
-    factor's rounding error by j^2."""
-    n = x.shape[-1]
-    size = 1 << (n + m - 2).bit_length()
+def _fft_size(length: int) -> int:
+    """Smallest of 2**a, 3 * 2**a and 5 * 2**a that is >= ``length``."""
+    return min(b << (-(-length // b) - 1).bit_length() for b in (1, 3, 5))
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(egrid: EnergyGrid, tgrid: TimeGrid):
+    """Bluestein chirp-z plan of the energy->time sum on one grid pair.
+
+    With theta = -dE dt and phi = -dE t_min, jk = (j^2 + k^2 - (k - j)^2) / 2
+    turns sum_j a_j exp(i (phi + k theta) j) into a convolution with the chirp
+    exp(i theta j^2 / 2).  Returns ``(size, pre, kernel_fft, post)``: the FFT
+    length, the per-energy factor (trapezoid weight, phi phase, chirp), the
+    FFT of the conjugate-chirp kernel, and the per-time factor (chirp, the
+    e_min phase, dE / sqrt(2 pi)).  The chirp's phase is computed from theta:
+    a power of exp(i theta) would amplify that factor's rounding error by j^2.
+    One plan is kept, so a sweep on one grid pair builds it once.
+    """
+    # sum_j a_j exp(-i (E_j - e_min) t_k); the e_min phase goes into post
+    n, m = egrid.n, tgrid.n
+    theta = -egrid.spacing * tgrid.spacing
+    phi = -egrid.spacing * tgrid.t_min
+    size = _fft_size(n + m - 1)
     j = np.arange(max(n, m), dtype=float)
     chirp = np.exp(0.5j * theta * j**2)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    y = np.fft.fft(x * np.exp(1j * phi * j[:n]) * chirp[:n], size)
-    return np.fft.ifft(y * np.fft.fft(kernel))[:m] * chirp[:m]
+    pre = _trapezoid_weights(n) * np.exp(1j * phi * j[:n]) * chirp[:n]
+    post = (chirp[:m] * np.exp(-1j * egrid.e_min * tgrid.samples)
+            * (egrid.spacing / np.sqrt(2.0 * np.pi)))
+    kernel_fft = np.fft.fft(kernel)
+    for arr in (pre, kernel_fft, post):
+        arr.flags.writeable = False
+    return size, pre, kernel_fft, post
 
 
 def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
@@ -137,7 +161,10 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
     every time-grid point, by trapezoid quadrature on the energy grid.
 
     method="fft" evaluates the quadrature sum with a chirp-z transform
-    (FFT-based, exact same sum); method="direct" accumulates it explicitly.
+    (FFT-based, exact same sum) padded to the smallest 2**a, 3 * 2**a or
+    5 * 2**a >= n_E + n_t - 1; its plan is built once per grid pair and
+    reused while consecutive calls share the pair.  method="direct"
+    accumulates the sum explicitly.
     """
     values = getattr(amps, "values", amps)
     values = np.asarray(values, dtype=complex)
@@ -145,20 +172,18 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
         raise ValueError(f"amplitude shape {values.shape} does not match grid ({egrid.n},)")
     _check_nyquist(egrid, tgrid)
 
-    weighted = values * _trapezoid_weights(egrid.n)
-    norm = egrid.spacing / np.sqrt(2.0 * np.pi)
-    t = tgrid.samples
     if method == "direct":
+        weighted = values * _trapezoid_weights(egrid.n)
+        t = tgrid.samples
         out = np.empty(tgrid.n, dtype=complex)
         # chunked kernel rows keep the working set small on large grids
         step = max(1, 2**22 // egrid.n)
         for i in range(0, tgrid.n, step):
             kern = np.exp(-1j * np.outer(t[i:i + step], egrid.samples))
             out[i:i + step] = kern @ weighted
-        return out * norm
+        return out * (egrid.spacing / np.sqrt(2.0 * np.pi))
     if method == "fft":
-        # sum_j a_j exp(-i (E_j - e_min) t_k); the e_min phase follows
-        out = _chirp_z(weighted, tgrid.n, -egrid.spacing * tgrid.spacing,
-                       -egrid.spacing * tgrid.t_min)
-        return out * np.exp(-1j * egrid.e_min * t) * norm
+        size, pre, kernel_fft, post = _plan(egrid, tgrid)
+        y = np.fft.ifft(np.fft.fft(values * pre, size) * kernel_fft)
+        return y[:tgrid.n] * post
     raise ValueError(f"unknown method {method!r}")

@@ -9,6 +9,7 @@ implemented: no operational procedure to obtain it independently is known.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,19 @@ def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> Spectra
     reaches E <= 0.  Only the forward component is returned; the reflected
     one is zero for a positive-momentum packet.
     """
+    return SpectralAmplitude(_initial_values(spec, egrid), anchor_x=0.0,
+                             egrid=egrid, m=spec.m)
+
+
+@functools.lru_cache(maxsize=1)
+def _initial_values(spec: GaussianPacketSpec, egrid: EnergyGrid) -> np.ndarray:
+    """Read-only amplitude values of ``sc_initial_amplitude``; one (packet,
+    grid) pair is kept, so the models of a sweep share one array."""
     E = egrid.samples
     P = np.sqrt(2.0 * spec.m * E)
     values = (spec.m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
-    return SpectralAmplitude(values, anchor_x=0.0, egrid=egrid, m=spec.m)
+    values.flags.writeable = False
+    return values
 
 
 E_FLOOR = 1e-9  # lowest admissible grid energy; (m/2E)^(1/4) blows up at 0

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
-from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
+from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
 from .oracle import (GridSolverConfig, _absorber_width, _probe_index,
                      crank_nicolson_evolve, flux_toa, snapped_grid_config)
 from .packet import GaussianPacketSpec, default_energy_grid
@@ -286,6 +286,14 @@ class ScenarioResult:
                                            for n, d in pt.distributions.items()},
                    "mean_time": pt.means(),
                    "time_window": [self.tgrid.t_min, self.tgrid.t_max]}
+            if pt.flux is not None:
+                # the current's time integral over the window, and its mean
+                # time where that integral is positive
+                dt = self.tgrid.spacing
+                total = float(trapezoid_complex(pt.flux, dt).real)
+                moment = float(trapezoid_complex(self.tgrid.samples * pt.flux, dt).real)
+                rec["arrival_probability"]["flux_oracle"] = total
+                rec["mean_time"]["flux_oracle"] = moment / total if total > 0 else None
             if pt.distance_sts_kijowski is not None:
                 rec["l1_distance_sts_kijowski"] = pt.distance_sts_kijowski
             out.append(rec)

@@ -195,6 +195,16 @@ class TestSubcommands:
         (point,) = summary["points"]
         assert point["mean_time"]["kijowski_free"] == pytest.approx(50.0, abs=1.0)
 
+    def test_flux_oracle_summary(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "barrier": {"v0": [0.0]},
+                                    "models": ["flux_oracle"]}))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        (point,) = json.loads(out)["points"]
+        assert point["arrival_probability"]["flux_oracle"] == pytest.approx(1.0, abs=1e-3)
+        assert point["mean_time"]["flux_oracle"] == pytest.approx(50.0, abs=1.0)
+
     def test_compare_reports_distance(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--preset", "fig2",
                                "--v0", "4.5")

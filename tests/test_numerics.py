@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sts_toa.errors import GridTooCoarse
-from sts_toa.numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m,
-                              fourier_E_to_t, trapezoid_complex)
+from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _plan,
+                              complex_sqrt_2m, fourier_E_to_t, trapezoid_complex)
 
 
 class TestGrids:
@@ -84,10 +84,14 @@ class TestFourier:
         e = self.egrid.samples
         return np.exp(-((e - 2.0) / 0.1) ** 2).astype(complex)
 
-    # equal sizes; more times than energies; odd sizes; n_E + n_t - 1 one past
-    # a power of two, where Bluestein's convolution pads to nearly twice that
+    # Bluestein's convolution has n_E + n_t - 1 terms and is padded to the
+    # smallest 2**a, 3 * 2**a or 5 * 2**a at least that long: 8191 -> 8192,
+    # 12287 -> 12288 and 5119 -> 5120 reach each branch, 8193 -> 10240 sits
+    # one past a power of two, 5120 -> 5120 fits with no slack, and
+    # 5121 -> 6144 is where a length rule one short would pad to 5120
     @pytest.mark.parametrize("n_e, n_t", [(4096, 4096), (4096, 8192),
-                                          (4097, 1023), (4097, 4097)])
+                                          (4097, 1023), (4097, 4097),
+                                          (4097, 1024), (4097, 1025)])
     def test_fft_matches_direct(self, n_e, n_t):
         egrid = EnergyGrid(1.0, 3.0, n_e)
         tgrid = TimeGrid(-200.0, 200.0, n_t)
@@ -95,6 +99,20 @@ class TestFourier:
         e = egrid.samples
         a = (np.exp(-((e - 2.0) / 0.3) ** 2)
              * np.exp(1j * np.polyval(rng.normal(size=3), e)))
+        fft = fourier_E_to_t(a, egrid, tgrid, method="fft")
+        direct = fourier_E_to_t(a, egrid, tgrid, method="direct")
+        assert np.max(np.abs(fft - direct)) < 1e-8
+
+    # a padding one short wraps the kernel's tail onto the first and last
+    # outputs, weighted by the amplitude at the grid ends; the Gaussian above
+    # is ~1e-5 there, so these amplitudes are of unit size at every energy
+    @pytest.mark.parametrize("n_e, n_t", [(4097, 1023), (4097, 1024),
+                                          (4097, 1025)])
+    def test_fft_matches_direct_with_weight_at_the_edges(self, n_e, n_t):
+        egrid = EnergyGrid(1.0, 3.0, n_e)
+        tgrid = TimeGrid(-200.0, 200.0, n_t)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=n_e) + 1j * rng.normal(size=n_e)
         fft = fourier_E_to_t(a, egrid, tgrid, method="fft")
         direct = fourier_E_to_t(a, egrid, tgrid, method="direct")
         assert np.max(np.abs(fft - direct)) < 1e-8
@@ -123,6 +141,27 @@ class TestFourier:
         f = fourier_E_to_t(a, self.egrid, self.tgrid)
         t_peak = self.tgrid.samples[np.argmax(np.abs(f))]
         assert abs(t_peak - t0) < 1.0
+
+    def test_fft_size_is_smallest_candidate_length(self):
+        candidates = sorted(b << a for b in (1, 3, 5) for a in range(20))
+        for n in [*range(1, 2050), 5119, 5120, 5121, 8191, 8193, 12287, 20479]:
+            assert _fft_size(n) == min(c for c in candidates if c >= n)
+
+    def test_interleaved_grid_pairs_reproduce(self):
+        # the plan cache keeps one grid pair: A, B, A rebuilds A's plan
+        a = self._gaussian_amps()
+        egrid_b, tgrid_b = EnergyGrid(0.5, 2.5, 2048), TimeGrid(0.0, 100.0, 777)
+        first = fourier_E_to_t(a, self.egrid, self.tgrid)
+        fourier_E_to_t(a[:2048], egrid_b, tgrid_b)
+        again = fourier_E_to_t(a, self.egrid, self.tgrid)
+        assert np.array_equal(first, again)
+
+    def test_plan_arrays_are_read_only(self):
+        fourier_E_to_t(self._gaussian_amps(), self.egrid, self.tgrid)
+        _size, *arrays = _plan(self.egrid, self.tgrid)
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_aliasing_guard(self):
         coarse = EnergyGrid(1.0, 3.0, 16)

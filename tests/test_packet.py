@@ -73,6 +73,19 @@ class TestInitialAmplitude:
         amps = sc_initial_amplitude(spec, g)
         assert np.all(np.isfinite(amps.values))
 
+    def test_interleaved_packets_reproduce(self, spec, egrid):
+        # one (packet, grid) pair is cached: A, B, A rebuilds A's values
+        other = GaussianPacketSpec(x_i=-40.0, p_i=1.5, delta=8.0)
+        first = sc_initial_amplitude(spec, egrid).values
+        sc_initial_amplitude(other, egrid)
+        again = sc_initial_amplitude(spec, egrid).values
+        assert np.array_equal(first, again)
+
+    def test_values_are_read_only(self, spec, egrid):
+        amps = sc_initial_amplitude(spec, egrid)
+        with pytest.raises(ValueError):
+            amps.values[0] = 0.0
+
     def test_default_grid_brackets_packet(self, spec):
         g = default_energy_grid(spec)
         e0 = spec.p_i**2 / (2.0 * spec.m)

@@ -91,14 +91,17 @@ class TestRun:
         assert "l1_distance_sts_kijowski" in text
 
     def test_threaded_run_matches_serial(self):
+        # the worker threads share the cached transform plan and amplitude
+        models = ("sts", "kijowski_transmitted", "kijowski_free")
         cfg = fig2(barrier={"v0": [0.0, 1.8]},
                    tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256},
-                   models=["sts"])
+                   models=list(models))
         serial = run_scenario(cfg, max_workers=1)
         threaded = run_scenario(cfg, max_workers=4)
         for a, b in zip(serial.points, threaded.points):
-            np.testing.assert_array_equal(a.distributions["sts"].density,
-                                          b.distributions["sts"].density)
+            for name in models:
+                np.testing.assert_array_equal(a.distributions[name].density,
+                                              b.distributions[name].density)
 
 
 class TestCsv:

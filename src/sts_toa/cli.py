@@ -96,10 +96,18 @@ def _build_config(args, forced_models=None, forced_v0=None) -> ScenarioConfig:
 
 def _emit(result, args):
     if args.out_csv:
-        for p in emit_csv(result, args.out_csv):
+        try:
+            paths = emit_csv(result, args.out_csv)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ConfigError("--out-csv", str(exc)) from exc
+        for p in paths:
             print(f"wrote {p}", file=sys.stderr)
     if args.out_svg:
-        print(f"wrote {emit_svg(result, args.out_svg)}", file=sys.stderr)
+        try:
+            path = emit_svg(result, args.out_svg)
+        except OSError as exc:
+            raise ConfigError("--out-svg", str(exc)) from exc
+        print(f"wrote {path}", file=sys.stderr)
     json.dump(result.summary(), sys.stdout, indent=2, sort_keys=True)
     print()
 

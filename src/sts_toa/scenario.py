@@ -38,6 +38,7 @@ __all__ = [
 MODEL_NAMES = ("sts", "kijowski_transmitted", "kijowski_free", "flux_oracle")
 
 _CSV_HEADER = "t,rho_sts,rho_kijowski_transmitted,rho_kijowski_free,flux"
+_CSV_BLOCK = 256  # rows per formatted block
 
 _METHOD_RE = re.compile(r"^(closed|slices:(\d+))$")
 
@@ -367,26 +368,8 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     return ScenarioResult(config=cfg, points=points)
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _csv_lines(result: ScenarioResult, pt: SweepPoint):
-    t = result.tgrid.samples
-    cols = []
-    for name in ("sts", "kijowski_transmitted", "kijowski_free"):
-        d = pt.distributions.get(name)
-        cols.append(d.density if d is not None else None)
-    cols.append(pt.flux)
-    yield _CSV_HEADER
-    for i, ti in enumerate(t):
-        fields = [_fmt17(float(ti))]
-        fields += ["" if c is None else _fmt17(float(c[i])) for c in cols]
-        yield ",".join(fields)
-
-
 def _point_path(base: Path, v0: float) -> Path:
-    tag = _fmt17(v0).replace(".", "p").replace("-", "m")
+    tag = f"{v0:.17g}".replace(".", "p").replace("-", "m")
     return base.with_name(f"{base.stem}_v0_{tag}{base.suffix}")
 
 
@@ -403,10 +386,18 @@ def emit_csv(result: ScenarioResult, path) -> list[Path]:
     base = Path(path)
     paths = ([base] if len(result.points) == 1
              else [_point_path(base, pt.v0) for pt in result.points])
+    t = result.tgrid.samples
     for pt, p in zip(result.points, paths):
+        dists = [pt.distributions.get(name)
+                 for name in ("sts", "kijowski_transmitted", "kijowski_free")]
+        cols = [t] + [None if d is None else d.density for d in dists] + [pt.flux]
+        # one % per block of rows gives the digits of per-field f"{x:.17g}"
+        row = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
+        table = np.column_stack([c for c in cols if c is not None])
+        blocks = (table[i:i + _CSV_BLOCK] for i in range(0, len(table), _CSV_BLOCK))
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            for line in _csv_lines(result, pt):
-                fh.write(line + "\n")
+            fh.write(_CSV_HEADER + "\n")
+            fh.writelines(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
     return paths
 
 

@@ -48,14 +48,17 @@ def render_svg(panels: list[Panel], path: str):
     """Write a standalone multi-panel SVG, one panel per row."""
     if not panels:
         raise ValueError("need at least one panel")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in _svg_lines(panels))
+
+
+def _svg_lines(panels: list[Panel]):
     pad_l, pad_r, pad_t, pad_b = 64, 16, 28, 40
     total_h = _HEIGHT * len(panels)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">')
+    yield '<rect width="100%" height="100%" fill="white"/>'
     for ip, panel in enumerate(panels):
         oy = ip * _HEIGHT
         x0, x1 = pad_l, _WIDTH - pad_r
@@ -71,38 +74,38 @@ def render_svg(panels: list[Panel], path: str):
         def sy(r):
             return y0 - r / (1.05 * r_hi) * (y0 - y1)
 
-        out.append(f'<g font-family="sans-serif" font-size="11">')
-        out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{oy + 16}" '
-                   f'text-anchor="middle" font-size="13">{panel.title}</text>')
+        yield '<g font-family="sans-serif" font-size="11">'
+        yield (f'<text x="{(x0 + x1) / 2:.1f}" y="{oy + 16}" '
+               f'text-anchor="middle" font-size="13">{panel.title}</text>')
         # axes
-        out.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
-        out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
+        yield f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
+        yield f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
         for tv in _ticks(t_lo, t_hi):
             px = sx(tv)
-            out.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
-            out.append(f'<text x="{px:.2f}" y="{y0 + 16}" text-anchor="middle">{_fmt(tv)}</text>')
+            yield f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>'
+            yield f'<text x="{px:.2f}" y="{y0 + 16}" text-anchor="middle">{_fmt(tv)}</text>'
         for rv in _ticks(0.0, 1.05 * r_hi):
             py = sy(rv)
-            out.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
-            out.append(f'<text x="{x0 - 6}" y="{py + 3:.2f}" text-anchor="end">{rv:.3g}</text>')
-        out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{y0 + 32}" text-anchor="middle" '
-                   f'font-style="italic">{_X_LABEL}</text>')
-        out.append(f'<text x="14" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-                   f'font-style="italic" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">'
-                   f'{_Y_LABEL}</text>')
+            yield f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>'
+            yield f'<text x="{x0 - 6}" y="{py + 3:.2f}" text-anchor="end">{rv:.3g}</text>'
+        yield (f'<text x="{(x0 + x1) / 2:.1f}" y="{y0 + 32}" text-anchor="middle" '
+               f'font-style="italic">{_X_LABEL}</text>')
+        yield (f'<text x="14" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+               f'font-style="italic" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">'
+               f'{_Y_LABEL}</text>')
         # curves and legend
         for ic, c in enumerate(panel.curves):
             color = _COLORS[ic % len(_COLORS)]
             dash = _STYLES.get(c.style, "")
-            pts = " ".join(f"{sx(float(t)):.2f},{sy(float(r)):.2f}"
-                           for t, r in zip(c.t, c.rho))
-            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5" {dash}/>')
+            # sx and sy act elementwise in the scalar operation order, and one
+            # "%.2f" per value prints what per-point f"{v:.2f}" printed
+            xy = np.column_stack((sx(c.t), sy(c.rho)))
+            pts = ("%.2f,%.2f " * len(xy))[:-1] % tuple(xy.ravel().tolist())
+            yield (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5" {dash}/>')
             ly = y1 + 14 * ic
-            out.append(f'<line x1="{x1 - 130}" y1="{ly}" x2="{x1 - 104}" y2="{ly}" '
-                       f'stroke="{color}" stroke-width="1.5" {dash}/>')
-            out.append(f'<text x="{x1 - 100}" y="{ly + 3}">{c.label}</text>')
-        out.append('</g>')
-    out.append('</svg>')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+            yield (f'<line x1="{x1 - 130}" y1="{ly}" x2="{x1 - 104}" y2="{ly}" '
+                   f'stroke="{color}" stroke-width="1.5" {dash}/>')
+            yield f'<text x="{x1 - 100}" y="{ly + 3}">{c.label}</text>'
+        yield '</g>'
+    yield '</svg>'

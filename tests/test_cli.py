@@ -121,6 +121,16 @@ class TestExitCodes:
         (point,) = json.loads(out)["points"]
         assert point["arrival_probability"]["kijowski_transmitted"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_path(self, capsys, tmp_path, flag, where):
+        # one height writes exactly the given path, so a directory cannot be opened
+        target = tmp_path / "absent" / "x.out" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "1.8",
+                                 "--models", "sts", flag, str(target))
+        assert code == 2 and f"config error: {flag}:" in err
+        assert out == ""
+
     # 1e6 asks for solver grids of 1e9 points and more; 1e300 overflows their size
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e6", "1e300"])
     def test_bad_time_factor(self, capsys, value):

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import ConfigError
-from sts_toa.scenario import (ScenarioConfig, ScenarioResult, emit_csv,
-                              emit_svg, run_scenario)
+from sts_toa.evolution import TOADistribution
+from sts_toa.scenario import (ScenarioConfig, ScenarioResult, SweepPoint,
+                              emit_csv, emit_svg, run_scenario)
+from sts_toa.svgplot import Curve, Panel, render_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,6 +155,54 @@ class TestCsv:
         np.testing.assert_allclose(got[:, :4], want[:, :4], atol=1e-12)
 
 
+    @pytest.mark.parametrize("models, with_flux", [
+        (("sts", "kijowski_transmitted", "kijowski_free"), True),
+        (("sts",), False),
+        (("kijowski_free",), True),
+        ((), True),
+    ], ids=["all-columns", "empty-model-columns", "flux-beside-empty", "flux-only"])
+    def test_bytes_match_per_field_formatting(self, tmp_path, models, with_flux):
+        rng = np.random.default_rng(11)
+        cfg = fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 600})
+        n = cfg.tgrid.n
+        points = []
+        for v0 in (0.0, 1.8):
+            dists = {name: TOADistribution(cfg.tgrid, _awkward_values(rng, n), 1.0)
+                     for name in models}
+            flux = (_awkward_values(rng, n) * rng.choice([-1.0, 1.0], n)
+                    if with_flux else None)
+            points.append(SweepPoint(v0=v0, distributions=dists, flux=flux))
+        paths = emit_csv(ScenarioResult(config=cfg, points=points), tmp_path / "pin.csv")
+        for pt, path in zip(points, paths):
+            cols = [pt.distributions[name].density if name in pt.distributions else None
+                    for name in _DENSITY_COLUMNS] + [pt.flux]
+            assert path.read_bytes() == _csv_reference(cfg.tgrid.samples, cols).encode()
+
+
+_DENSITY_COLUMNS = ("sts", "kijowski_transmitted", "kijowski_free")
+
+
+def _awkward_values(rng, n):
+    """-0.0, subnormals, extremes and every decade of the double range, shuffled."""
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+               1e-300, 1e300, 1.7976931348623157e308, 9.9999999999999995e-5, 1e-4,
+               0.1, 1.0 / 3.0, 1e16, 1e17, 123456789.12345679]
+    values = 10.0 ** rng.uniform(-323.0, 308.0, n)
+    values[:len(special)] = special
+    rng.shuffle(values)
+    return values
+
+
+def _csv_reference(t, cols):
+    """The CSV text formatted one field at a time with f"{x:.17g}"."""
+    lines = ["t,rho_sts,rho_kijowski_transmitted,rho_kijowski_free,flux"]
+    for i, ti in enumerate(t):
+        fields = [f"{float(ti):.17g}"]
+        fields += ["" if c is None else f"{float(c[i]):.17g}" for c in cols]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
 class TestSvg:
     def test_four_panel_sweep(self, tmp_path):
         cfg = fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256},
@@ -176,3 +227,50 @@ class TestSvg:
         a = emit_svg(small_result, tmp_path / "a.svg")
         b = emit_svg(run_scenario(small_result.config), tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_polylines_match_per_point_formatting(self, tmp_path):
+        rng = np.random.default_rng(5)
+        panels = [Panel(title=f"panel {k}", curves=[_boundary_curve(rng, 2000, 1.0),
+                                                     _boundary_curve(rng, 1500, 0.5)])
+                  for k in range(2)]
+        render_svg(panels, str(tmp_path / "pin.svg"))
+        text = (tmp_path / "pin.svg").read_text(encoding="utf-8")
+        got = re.findall(r'<polyline points="([^"]*)"', text)
+        assert got == _polyline_reference(panels)
+
+
+def _boundary_curve(rng, n, r_max):
+    """A curve on t in [0, 150] whose pixels fall near .xx5 rounding boundaries.
+
+    With t from 0 to 150 and a largest density of 1 in the panel, x pixels run
+    over [64, 464] and y pixels over [280 - 240 r_max, 280] below the panel
+    offset; each coordinate is the inverse image of a pixel value k / 100 + 0.005.
+    """
+    px = 64.0 + (rng.integers(0, 40000, n) + 0.5) / 100.0
+    py = 280.0 - (rng.integers(0, int(24000 * r_max), n) + 0.5) / 100.0
+    t = (px - 64.0) / 400.0 * 150.0
+    rho = (280.0 - py) / 252.0 * 1.05
+    t[0], t[-1], rho[0] = 0.0, 150.0, r_max
+    return Curve(label="pin", t=t, rho=rho)
+
+
+def _polyline_reference(panels):
+    """Each polyline's points through scalar sx, sy and per-point f"{v:.2f}"."""
+    out = []
+    for ip, panel in enumerate(panels):
+        x0, x1 = 64, 480 - 16
+        y0, y1 = ip * 320 + 320 - 40, ip * 320 + 28
+        t_lo = min(float(c.t[0]) for c in panel.curves)
+        t_hi = max(float(c.t[-1]) for c in panel.curves)
+        r_hi = max(float(np.max(c.rho)) for c in panel.curves)
+
+        def sx(t):
+            return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
+
+        def sy(r):
+            return y0 - r / (1.05 * r_hi) * (y0 - y1)
+
+        for c in panel.curves:
+            out.append(" ".join(f"{sx(float(t)):.2f},{sy(float(r)):.2f}"
+                                for t, r in zip(c.t, c.rho)))
+    return out

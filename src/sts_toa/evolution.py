@@ -3,9 +3,10 @@ amplitude, arrival-time density assembly, and the free-particle reference
 distribution.
 
 Spatial translation multiplies each energy component by exp(+/- i theta(E))
-with theta the complex phase integral; the slice-based variant applies the
-same multipliers slice by slice in increasing (decreasing) x order for
-forward (backward) translation, and reduces to the closed form whenever the
+with theta the complex phase integral.  The slice-based variant cuts the
+path into equal slices, takes V at each slice midpoint, and sums the slices'
+widths per potential level, so theta costs one square root per distinct
+level whatever the slice count; it reduces to the closed form whenever the
 slices align with segment edges.
 
 The translation generates no reflected (backward-moving) component at segment
@@ -102,23 +103,27 @@ def propagate_closed_form(amps: SpectralAmplitude, pot: PiecewisePotential,
 
 def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
                      x: float, n_slices: int) -> SpectralAmplitude:
-    """Translate slice by slice, ordered by increasing x for x > anchor and
-    decreasing x for x < anchor, sampling V at slice midpoints.
+    """Translate across n_slices equal slices, sampling V at slice midpoints.
 
-    First-order accurate in the slice width for misaligned slices; identical
-    to the closed form when every slice lies inside one segment.
+    The slices' widths are summed per potential level, so theta is one sum
+    over the distinct midpoint values of V and the cost does not depend on
+    the slice count.  Widths are signed (negative for x < anchor).
+    First-order accurate in the slice width for misaligned slices; equal to
+    the closed form up to rounding when every slice lies inside one segment.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
     x0 = amps.anchor_x
     if x == x0:
         return _apply_multiplier(amps, 0.0, x)
-    bounds = np.linspace(x0, x, n_slices + 1)  # ordered along travel direction
+    bounds = np.linspace(x0, x, n_slices + 1)
+    levels, level_of = np.unique(pot.value_at(0.5 * (bounds[:-1] + bounds[1:])),
+                                 return_inverse=True)
+    widths = np.bincount(level_of, weights=np.diff(bounds))
     E = amps.egrid.samples
     theta = np.zeros(amps.egrid.n, dtype=complex)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        v = pot.value_at(0.5 * (lo + hi))
-        theta += (hi - lo) * complex_sqrt_2m(E, v, amps.m)
+    for v, w in zip(levels, widths):
+        theta += w * complex_sqrt_2m(E, v, amps.m)
     return _apply_multiplier(amps, theta, x)
 
 

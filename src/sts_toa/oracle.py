@@ -157,9 +157,7 @@ class CNResult:
 def _sample_potential(pot: PiecewisePotential, xs: np.ndarray) -> np.ndarray:
     """Grid sampling of V; points exactly on a segment edge take the mean of
     the one-sided limits (second-order accurate step representation)."""
-    v = np.zeros(xs.shape)
-    for seg in pot.segments:
-        v[(seg.x_start <= xs) & (xs < seg.x_end)] = seg.v
+    v = pot.value_at(xs)
     for x_edge in pot.edges:
         eps = 1e-9 * max(1.0, abs(x_edge))
         v[xs == x_edge] = 0.5 * (pot.value_at(x_edge - eps) + pot.value_at(x_edge + eps))

@@ -57,12 +57,16 @@ class PiecewisePotential:
             out.extend((s.x_start, s.x_end))
         return tuple(sorted(set(out)))
 
-    def value_at(self, x: float) -> float:
-        """V(x) with the closed-left, open-right edge convention."""
+    def value_at(self, x):
+        """V(x) with the closed-left, open-right edge convention.
+
+        x may be an array; a scalar x gives a float.
+        """
+        xs = np.asarray(x, dtype=float)
+        v = np.zeros(xs.shape)
         for s in self.segments:
-            if s.x_start <= x < s.x_end:
-                return s.v
-        return 0.0
+            v[(s.x_start <= xs) & (xs < s.x_end)] = s.v
+        return float(v) if v.ndim == 0 else v
 
     def pieces(self, a: float, b: float) -> list[tuple[float, float]]:
         """Split [a, b] (a < b) at segment edges; yields (length, V) pairs."""

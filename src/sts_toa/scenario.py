@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,11 +25,12 @@ from .errors import ConfigError
 from .evolution import TOADistribution, barrier_toa, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
-from .oracle import (GridSolverConfig, _absorber_width, _probe_index,
-                     crank_nicolson_evolve, flux_toa, snapped_grid_config)
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
+
+if TYPE_CHECKING:  # the grid solver is imported only by the flux_oracle model
+    from .oracle import GridSolverConfig
 
 __all__ = [
     "MODEL_NAMES", "ScenarioConfig", "SweepPoint", "ScenarioResult",
@@ -136,6 +138,7 @@ class ScenarioConfig:
                               "regime: x_i + 5 delta <= 0 and p_i - 5 sigma_p > 0")
         self._check_derived_scales()
         if "flux_oracle" in self.models:
+            from .oracle import _probe_index
             try:
                 _probe_index(_flux_solver_grid(self), self.detector_x)
             except ConfigError as exc:
@@ -307,6 +310,7 @@ def _flux_solver_grid(cfg: ScenarioConfig) -> GridSolverConfig:
     The spatial domain is padded and terminated with absorbing ramps so that
     wall reflections never reach the detector inside the time window.
     """
+    from .oracle import _absorber_width, snapped_grid_config
     spec = cfg.packet
     absorber = _absorber_width(spec)
     # probe-derivative accuracy is O(dx^4); dx = 0.25 visibly biases the integral
@@ -318,6 +322,7 @@ def _flux_solver_grid(cfg: ScenarioConfig) -> GridSolverConfig:
 def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
     """Probability current at the detector from the grid solver, resampled
     onto the scenario time grid."""
+    from .oracle import crank_nicolson_evolve, flux_toa
     pot = (PiecewisePotential.free() if v0 == 0.0
            else PiecewisePotential.square_barrier(v0, cfg.barrier_length))
     result = crank_nicolson_evolve(cfg.packet, pot, _flux_solver_grid(cfg),

@@ -5,7 +5,7 @@ from sts_toa.errors import DivergenceWarning, ZeroArrival
 from sts_toa.evolution import (barrier_toa, free_kijowski,
                                propagate_closed_form, propagate_slices,
                                toa_density)
-from sts_toa.numerics import EnergyGrid, TimeGrid
+from sts_toa.numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
 from sts_toa.packet import SpectralAmplitude, sc_initial_amplitude
 from sts_toa.potential import PiecewisePotential
 
@@ -58,6 +58,38 @@ class TestPropagation:
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[2] == pytest.approx(448 / 48, rel=0.5)
 
+    @pytest.mark.parametrize("x0, x, n", [(0.0, 50.0, 48), (0.0, 50.0, 112),
+                                          (50.0, -7.0, 33)])
+    def test_slices_match_per_slice_sum(self, amps, x0, x, n):
+        # reference: the midpoint rule summed one slice at a time
+        amps = SpectralAmplitude(amps.values, anchor_x=x0, egrid=amps.egrid, m=1.0)
+        bounds = np.linspace(x0, x, n + 1)
+        E = amps.egrid.samples
+        theta = np.zeros(E.size, dtype=complex)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            theta += (hi - lo) * complex_sqrt_2m(E, BARRIER.value_at(0.5 * (lo + hi)), 1.0)
+        expect = amps.values * np.exp(1j * theta)
+        b = propagate_slices(amps, BARRIER, x, n)
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(b.values - expect)) / scale < 1e-12
+
+    def test_slices_at_the_cap_match_closed_form(self, amps):
+        a = propagate_closed_form(amps, BARRIER, 50.0)
+        b = propagate_slices(amps, BARRIER, 50.0, 100_000)
+        scale = np.max(np.abs(a.values))
+        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+
+    @pytest.mark.parametrize("pot", [PiecewisePotential.free(), BARRIER],
+                             ids=["free", "barrier"])
+    def test_backward_slices_match_closed_form(self, amps, pot):
+        # from x = 50 back to x = -10: slices of width 1 align with both edges
+        there = propagate_closed_form(amps, pot, 50.0)
+        a = propagate_closed_form(there, pot, -10.0)
+        b = propagate_slices(there, pot, -10.0, 60)
+        assert b.anchor_x == -10.0
+        scale = np.max(np.abs(a.values))
+        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+
     def test_round_trip_in_allowed_region(self, amps):
         out = propagate_closed_form(amps, PiecewisePotential.free(), 40.0)
         back = propagate_closed_form(out, PiecewisePotential.free(), 0.0)
@@ -71,6 +103,13 @@ class TestPropagation:
         thick = PiecewisePotential.square_barrier(500.0, 25.0)
         with pytest.raises(DivergenceWarning):
             propagate_closed_form(one, thick, 0.0)
+
+    def test_backward_slices_through_thick_barrier_diverge(self, egrid):
+        vals = np.ones(egrid.n, dtype=complex)
+        one = SpectralAmplitude(vals, anchor_x=25.0, egrid=egrid, m=1.0)
+        thick = PiecewisePotential.square_barrier(500.0, 25.0)
+        with pytest.raises(DivergenceWarning):
+            propagate_slices(one, thick, 0.0, 50)
 
 
 class TestDensity:

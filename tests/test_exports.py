@@ -1,6 +1,6 @@
 """Every library module's ``__all__`` lists the public functions and classes
 the module defines, and every name in it resolves; importing the package
-loads no SciPy module."""
+loads no SciPy module, and the fig2 sweep does not load the grid solver."""
 
 import importlib
 import inspect
@@ -31,13 +31,26 @@ def test_all_matches_public_definitions(name):
     assert not unresolved, f"__all__ names that do not resolve: {unresolved}"
 
 
-def test_import_loads_no_scipy():
+def _run_python(script: str) -> str:
     src = str(Path(sts_toa.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sts_toa; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    out = _run_python(
+        "import sys, sts_toa; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_fig2_sweep_loads_no_oracle():
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from sts_toa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['sweep', '--preset', 'fig2'])\n"
+        "print(code, 'sts_toa.oracle' in sys.modules)\n")
+    assert out.split() == ["0", "False"]

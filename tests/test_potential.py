@@ -26,6 +26,16 @@ class TestPiecewise:
         assert BARRIER.value_at(5.0) == 4.5
         assert BARRIER.value_at(-1.0) == 0.0
 
+    def test_value_at_array_matches_scalar_calls(self):
+        # straddles both edges and hits each of them exactly
+        xs = np.array([-1.0, -1e-12, 0.0, 1e-12, 5.0, 10.0 - 1e-12, 10.0,
+                       10.0 + 1e-12, 11.0])
+        v = BARRIER.value_at(xs)
+        assert v.shape == xs.shape
+        assert list(v) == [BARRIER.value_at(float(x)) for x in xs]
+        assert list(v) == [0.0, 0.0, 4.5, 4.5, 4.5, 4.5, 0.0, 0.0, 0.0]
+        assert type(BARRIER.value_at(0.0)) is float
+
     def test_edges(self):
         assert BARRIER.edges == (0.0, 10.0)
 

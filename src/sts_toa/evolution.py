@@ -3,11 +3,12 @@ amplitude, arrival-time density assembly, and the free-particle reference
 distribution.
 
 Spatial translation multiplies each energy component by exp(+/- i theta(E))
-with theta the complex phase integral.  The slice-based variant cuts the
-path into equal slices, takes V at each slice midpoint, and sums the slices'
-widths per potential level, so theta costs one square root per distinct
-level whatever the slice count; it reduces to the closed form whenever the
-slices align with segment edges.
+with theta the complex phase integral, one sum over potential levels
+(``phase_theta``) for both variants.  The closed form cuts the path at
+segment edges; the slice-based variant cuts it into equal slices and takes V
+at each slice midpoint, so theta costs one square root per distinct level
+whatever the slice count.  When the slices align with segment edges both
+variants sum the same widths and agree bit for bit.
 
 The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceWarning, ZeroArrival
-from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
-                       trapezoid_complex)
+from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
 from .potential import PiecewisePotential, phase_theta
@@ -105,25 +105,12 @@ def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
                      x: float, n_slices: int) -> SpectralAmplitude:
     """Translate across n_slices equal slices, sampling V at slice midpoints.
 
-    The slices' widths are summed per potential level, so theta is one sum
-    over the distinct midpoint values of V and the cost does not depend on
-    the slice count.  Widths are signed (negative for x < anchor).
-    First-order accurate in the slice width for misaligned slices; equal to
-    the closed form up to rounding when every slice lies inside one segment.
+    theta is ``phase_theta`` over the slices' widths summed per potential
+    level, so the cost does not depend on the slice count.  First-order
+    accurate in the slice width for misaligned slices; bit-for-bit equal to
+    the closed form when every slice lies inside one segment.
     """
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
-    x0 = amps.anchor_x
-    if x == x0:
-        return _apply_multiplier(amps, 0.0, x)
-    bounds = np.linspace(x0, x, n_slices + 1)
-    levels, level_of = np.unique(pot.value_at(0.5 * (bounds[:-1] + bounds[1:])),
-                                 return_inverse=True)
-    widths = np.bincount(level_of, weights=np.diff(bounds))
-    E = amps.egrid.samples
-    theta = np.zeros(amps.egrid.n, dtype=complex)
-    for v, w in zip(levels, widths):
-        theta += w * complex_sqrt_2m(E, v, amps.m)
+    theta = phase_theta(pot, amps.egrid.samples, amps.m, amps.anchor_x, x, n_slices)
     return _apply_multiplier(amps, theta, x)
 
 

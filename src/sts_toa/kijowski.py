@@ -23,34 +23,27 @@ def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
     """Square-barrier transmission amplitude for incident momentum P > 0.
 
         T(P) = 4 P P' exp(-i (P - P') L)
-               / [ (P + P')^2 - exp(2 i P' L) (P - P')^2 ]
+               / [ 4 P P' - expm1(2 i P' L) (P - P')^2 ]
 
     with P' = sqrt(P^2 - 2 m v0) continued onto the positive imaginary axis
-    below the barrier, where the formula stays finite (opaque-barrier decay).
+    below the barrier.  Im P' >= 0 keeps |exp(2 i P' L)| <= 1, so nothing
+    overflows; deep below the barrier T decays as exp(-|P'| L) and only
+    underflows.  At P' = 0 exactly the limit
+    4 P exp(-i P L) / (4 P - 2 i L P^2) is taken.
     """
     P = np.asarray(P, dtype=float)
     if np.any(P <= 0.0):
         raise ValueError("transmission amplitude defined for P > 0 only")
     Pp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
-    # equivalent form with the removable P' = 0 point (P^2 = 2 m v0) made
-    # explicit: multiply numerator and denominator by exp(-i P' L) and
-    # divide out one power of P':
-    #   T = 4 P exp(-i P L) / [4 P cos(P' L) - 2 i (P^2 + P'^2) sin(P' L) / P']
-    z = Pp * length
-    with np.errstate(over="ignore", invalid="ignore"):
-        sin_over = np.where(np.abs(z) > 1e-6, np.sin(z) / np.where(Pp == 0, 1.0, Pp),
-                            length * (1.0 - z**2 / 6.0))
-        den = 4.0 * P * np.cos(z) - 2j * (P**2 + Pp**2) * sin_over
-        out = np.asarray(4.0 * P * np.exp(-1j * P * length) / den)
-    # deep below the barrier (P' L past ~710i) cos z and sin z overflow;
-    # there the first form is used, whose exp(i z) = exp(-|P'| L) only
-    # underflows
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        p, pp = np.broadcast_to(P, out.shape)[bad], Pp[bad]
-        ez = np.exp(1j * z[bad])
-        out[bad] = (4.0 * p * pp * np.exp(-1j * p * length) * ez
-                    / ((p + pp) ** 2 - ez**2 * (p - pp) ** 2))
+    # the numerator's full product is formed before dividing: opaque-barrier
+    # exponentials are subnormal, and dividing one first loses its digits
+    with np.errstate(invalid="ignore"):  # 0 / 0 at P' = 0, replaced below
+        out = np.asarray(4.0 * P * Pp * np.exp(-1j * (P - Pp) * length)
+                         / (4.0 * P * Pp - np.expm1(2j * Pp * length) * (P - Pp) ** 2))
+    turn = Pp == 0
+    if np.any(turn):
+        p = P[turn]
+        out[turn] = 4.0 * p * np.exp(-1j * p * length) / (4.0 * p - 2j * length * p**2)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -59,24 +59,23 @@ def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
         raise ValueError("incident momentum must be positive")
     k = P
     kp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
-    # the matching system is singular at the turning point kp = 0 (interior
-    # solution degenerates to a linear function); T is analytic in kp^2, so a
-    # tiny nudge perturbs it by O(nudge^2) while keeping the system regular
-    kp = np.where(np.abs(kp) < 1e-7, 1e-7, kp)
     n = P.size
+    # interior basis exp(i kp x), sin(kp x) / kp: it stays independent at the
+    # turning point kp = 0, where it becomes (1, x)
     ep = np.exp(1j * kp * length)
-    em = np.exp(-1j * kp * length)
+    s = np.where(kp == 0, length, np.sin(kp * length) / np.where(kp == 0, 1.0, kp))
+    c = np.cos(kp * length)
     ek = np.exp(1j * k * length)
 
     A = np.zeros((n, 4, 4), dtype=complex)
     b = np.zeros((n, 4), dtype=complex)
     # unknowns: [R, A, B, T]
-    A[:, 0] = np.stack([np.ones(n), -np.ones(n), -np.ones(n), np.zeros(n)], axis=-1)
+    A[:, 0] = np.stack([np.ones(n), -np.ones(n), np.zeros(n), np.zeros(n)], axis=-1)
     b[:, 0] = -1.0
-    A[:, 1] = np.stack([-1j * k, -1j * kp, 1j * kp, np.zeros(n)], axis=-1)
+    A[:, 1] = np.stack([-1j * k, -1j * kp, -np.ones(n), np.zeros(n)], axis=-1)
     b[:, 1] = -1j * k
-    A[:, 2] = np.stack([np.zeros(n), ep, em, -ek], axis=-1)
-    A[:, 3] = np.stack([np.zeros(n), 1j * kp * ep, -1j * kp * em, -1j * k * ek], axis=-1)
+    A[:, 2] = np.stack([np.zeros(n), ep, s, -ek], axis=-1)
+    A[:, 3] = np.stack([np.zeros(n), 1j * kp * ep, c, -1j * k * ek], axis=-1)
     sol = np.linalg.solve(A, b[..., None])[..., 0]
     T, R = sol[:, 3], sol[:, 0]
     if T.size == 1:

@@ -68,27 +68,39 @@ class PiecewisePotential:
             v[(s.x_start <= xs) & (xs < s.x_end)] = s.v
         return float(v) if v.ndim == 0 else v
 
-    def pieces(self, a: float, b: float) -> list[tuple[float, float]]:
-        """Split [a, b] (a < b) at segment edges; yields (length, V) pairs."""
-        cuts = sorted({a, b, *(e for e in self.edges if a < e < b)})
-        out = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            out.append((hi - lo, self.value_at(lo)))
-        return out
+    def levels(self, a: float, b: float, n_slices: int | None = None):
+        """Distinct potential levels on the path a -> b and their path widths.
+
+        The path is cut at the segment edges it crosses (exact), or into
+        n_slices equal slices, and V is read at each piece's midpoint.
+        Returns (levels, widths) arrays, levels ascending; widths are signed,
+        negative for b < a and zero for b == a.
+        """
+        if n_slices is None:
+            inner = sorted((e for e in self.edges if min(a, b) < e < max(a, b)),
+                           reverse=b < a)
+            bounds = np.array([a, *inner, b], dtype=float)
+        elif n_slices < 1:
+            raise ValueError("n_slices must be >= 1")
+        else:
+            bounds = np.linspace(a, b, n_slices + 1)
+        levels, level_of = np.unique(self.value_at(0.5 * (bounds[:-1] + bounds[1:])),
+                                     return_inverse=True)
+        return levels, np.bincount(level_of, weights=np.diff(bounds))
 
 
-def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float):
+def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float,
+                n_slices: int | None = None):
     """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx'.
 
-    Exact segment sum; E may be an array.  The real part is the oscillatory
-    phase, the imaginary part the decay exponent accumulated in forbidden
-    regions (nonnegative for x > x0).  Reversing x0 and x flips the sign.
+    The one sum over potential levels, sum_v W_v sqrt(2m[E - V_v]), with the
+    signed widths W_v of ``PiecewisePotential.levels``: exact with segment
+    cuts, the midpoint rule with n_slices equal slices.  E may be an array.
+    The real part is the oscillatory phase, the imaginary part the decay
+    exponent accumulated in forbidden regions (nonnegative for x > x0).
+    Reversing x0 and x flips the sign.
     """
-    if x == x0:
-        return np.zeros_like(np.asarray(E, dtype=float)) * 1j if np.ndim(E) else 0j
-    if x < x0:
-        return -phase_theta(pot, E, m, x, x0)
     theta = 0j
-    for length, v in pot.pieces(x0, x):
-        theta = theta + length * complex_sqrt_2m(E, v, m)
+    for v, w in zip(*pot.levels(x0, x, n_slices)):
+        theta = theta + w * complex_sqrt_2m(E, v, m)
     return theta

@@ -109,8 +109,8 @@ class TestExitCodes:
         assert code == 2 and f"config error: {field}:" in err
 
     def test_energy_floor_far_below_the_packet(self, capsys, tmp_path):
-        # |T| <= 1 forces |den| >= 4P > 0 in transmission_amplitude, so tiny
-        # momenta (P ~ 1e-40 here) are no pole
+        # |T| <= 1 keeps transmission_amplitude's denominator no smaller
+        # than its numerator, so tiny momenta (P ~ 1e-40 here) are no pole
         cfg = {"preset": "fig2", "barrier": {"v0": [0.0]},
                "egrid": {"e_min": 1e-80, "e_max": 3.125, "n": 16384},
                "models": ["kijowski_transmitted"]}

@@ -10,6 +10,8 @@ from sts_toa.packet import SpectralAmplitude, sc_initial_amplitude
 from sts_toa.potential import PiecewisePotential
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
+# the fig2 heights whose closed form and aligned slices agree bit for bit
+V0_LIST = (0.0, 1.8, 4.5)
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +44,13 @@ class TestPropagation:
         assert abs(out.values[idx]) == pytest.approx(np.exp(-10.0 * kappa), rel=1e-10)
 
     def test_aligned_slices_match_closed_form(self, amps):
-        a = propagate_closed_form(amps, BARRIER, 50.0)
-        b = propagate_slices(amps, BARRIER, 50.0, 50)
-        scale = np.max(np.abs(a.values))
-        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+        # both variants sum the same widths per level
+        for v0 in V0_LIST:
+            pot = PiecewisePotential.square_barrier(v0, 10.0)
+            a = propagate_closed_form(amps, pot, 50.0)
+            for n in (5, 50, 500):
+                b = propagate_slices(amps, pot, 50.0, n)
+                assert np.array_equal(a.values, b.values), (v0, n)
 
     def test_misaligned_slices_converge_first_order(self, amps):
         a = propagate_closed_form(amps, BARRIER, 50.0)
@@ -74,21 +79,24 @@ class TestPropagation:
         assert np.max(np.abs(b.values - expect)) / scale < 1e-12
 
     def test_slices_at_the_cap_match_closed_form(self, amps):
-        a = propagate_closed_form(amps, BARRIER, 50.0)
-        b = propagate_slices(amps, BARRIER, 50.0, 100_000)
-        scale = np.max(np.abs(a.values))
-        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+        for v0 in V0_LIST:
+            pot = PiecewisePotential.square_barrier(v0, 10.0)
+            a = propagate_closed_form(amps, pot, 50.0)
+            b = propagate_slices(amps, pot, 50.0, 100_000)
+            assert np.array_equal(a.values, b.values), v0
 
-    @pytest.mark.parametrize("pot", [PiecewisePotential.free(), BARRIER],
+    @pytest.mark.parametrize("pots", [[PiecewisePotential.free()],
+                                      [PiecewisePotential.square_barrier(v0, 10.0)
+                                       for v0 in V0_LIST]],
                              ids=["free", "barrier"])
-    def test_backward_slices_match_closed_form(self, amps, pot):
+    def test_backward_slices_match_closed_form(self, amps, pots):
         # from x = 50 back to x = -10: slices of width 1 align with both edges
-        there = propagate_closed_form(amps, pot, 50.0)
-        a = propagate_closed_form(there, pot, -10.0)
-        b = propagate_slices(there, pot, -10.0, 60)
-        assert b.anchor_x == -10.0
-        scale = np.max(np.abs(a.values))
-        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+        for pot in pots:
+            there = propagate_closed_form(amps, pot, 50.0)
+            a = propagate_closed_form(there, pot, -10.0)
+            b = propagate_slices(there, pot, -10.0, 60)
+            assert b.anchor_x == -10.0
+            assert np.array_equal(a.values, b.values), pot
 
     def test_round_trip_in_allowed_region(self, amps):
         out = propagate_closed_form(amps, PiecewisePotential.free(), 40.0)

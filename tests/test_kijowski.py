@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sts_toa.errors import GridMismatch
 from sts_toa.evolution import TOADistribution, free_kijowski
@@ -42,6 +42,8 @@ class TestTransmissionAmplitude:
         p_turn = np.sqrt(2.0 * v0)
         T = transmission_amplitude(p_turn, v0, 10.0)
         assert np.isfinite(T) and 0 < abs(T) < 1
+        T_tm, _ = transfer_matrix_T(p_turn, v0, 10.0)
+        assert abs(T - T_tm) < 1e-12
 
     def test_opaque_barrier_decays_without_overflow(self):
         # kappa L = 728 to 732: cosh overflows, exp(-kappa L) is subnormal
@@ -61,6 +63,7 @@ class TestTransmissionAmplitude:
     @given(st.floats(min_value=0.2, max_value=5.0),
            st.floats(min_value=0.0, max_value=25.0),
            st.floats(min_value=0.5, max_value=20.0))
+    @example(2.0, 2.0, 1.0)  # the turning point P^2 = 2 m v0
     def test_matches_transfer_matrix_everywhere(self, p, v0, length):
         T = transmission_amplitude(p, v0, length)
         T_tm, R_tm = transfer_matrix_T(p, v0, length)

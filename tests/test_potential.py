@@ -39,9 +39,14 @@ class TestPiecewise:
     def test_edges(self):
         assert BARRIER.edges == (0.0, 10.0)
 
-    def test_pieces_split_at_edges(self):
-        pieces = BARRIER.pieces(-5.0, 15.0)
-        assert pieces == [(5.0, 0.0), (10.0, 4.5), (5.0, 0.0)]
+    def test_levels_split_at_edges(self):
+        levels, widths = BARRIER.levels(-5.0, 15.0)
+        assert list(levels) == [0.0, 4.5] and list(widths) == [10.0, 10.0]
+        levels, widths = BARRIER.levels(15.0, -5.0)
+        assert list(levels) == [0.0, 4.5] and list(widths) == [-10.0, -10.0]
+        for n_slices in (None, 7):
+            _, widths = BARRIER.levels(5.0, 5.0, n_slices)
+            assert np.all(widths == 0.0)
 
 
 class TestPhaseIntegral:

@@ -87,9 +87,12 @@ def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
 class GridSolverConfig:
     """Space-time grid for the Crank-Nicolson propagator.
 
-    Validity bounds (checked against the packet before a run), with
-    p_max = |p_i| + 10 sigma_p and E_max = p_max^2 / 2m:
-      dx < 2 pi / (6 p_max)   -- resolve the shortest wavelength
+    Validity bounds (checked against the packet and the static potential
+    before a run), with p_max = |p_i| + 10 sigma_p, E_max = p_max^2 / 2m and
+    V_min = min(min V, 0) the bottom of the deepest well:
+      dx < 2 pi / (6 p_loc)   -- resolve the shortest wavelength, at the local
+                                 momentum p_loc = sqrt(p_max^2 - 2m V_min)
+                                 that the packet's top reaches in that well
       E_max dt <= 0.16        -- phase per step at the top energy; the scheme
                                  itself is unconditionally stable, but its
                                  phase error per step grows as (E dt)^3 / 12
@@ -121,12 +124,18 @@ class GridSolverConfig:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
-    def validate(self, spec: GaussianPacketSpec):
+    def validate(self, spec: GaussianPacketSpec, pot: PiecewisePotential):
+        """UnstableConfig unless the grid resolves ``spec`` moving through
+        ``pot``."""
         p_max = _top_momentum(spec)
-        if not self.dx < 2.0 * np.pi / (6.0 * p_max):
+        depth = max(0.0, -min((s.v for s in pot.segments), default=0.0))
+        p_loc = np.sqrt(p_max**2 + 2.0 * spec.m * depth)
+        if not self.dx < 2.0 * np.pi / (6.0 * p_loc):
+            well = (f" in a well of depth {depth:g}, local momentum {p_loc:g}"
+                    if depth > 0.0 else "")
             raise UnstableConfig(
-                f"dx = {self.dx:g} does not resolve p_max = {p_max:g} "
-                f"(needs dx < {2 * np.pi / (6 * p_max):g})")
+                f"dx = {self.dx:g} does not resolve p_max = {p_max:g}{well} "
+                f"(needs dx < {2 * np.pi / (6 * p_loc):g})")
         e_max = p_max**2 / (2.0 * spec.m)
         if not e_max * self.dt <= _MAX_STEP_PHASE:
             raise UnstableConfig(
@@ -192,13 +201,16 @@ def _lapack_info(routine: str, info: int):
 
 
 def _band_solver(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> A^-1 b for the pentadiagonal A in 7-row LAPACK band storage
+    """b -> 2 A^-1 b for the pentadiagonal A in 7-row LAPACK band storage
     ``ab`` (overwritten), from one LU factorisation (zgbtrf).
 
-    When the factorisation interchanged no rows, L and U are plain band
-    triangles, and two triangular band solves (ztbsv) do the arithmetic of
-    zgbtrs in the same order without the BLAS call per row that zgbtrs
-    makes for L; otherwise zgbtrs applies the interchanges.
+    When the factorisation interchanged no rows, L and U are band triangles
+    of bandwidth 2.  U is split as D U1, with D = diag(U) and U1 unit upper
+    triangular, so 2 A^-1 b = U1^-1 (2 D^-1) L^-1 b: two unit triangular
+    band solves (ztbsv, k = 2) around one multiply by 2 / D.  No solve
+    divides by U's diagonal or passes over the pivot fill rows.  Otherwise
+    zgbtrs applies the interchanges and the result is doubled, which is
+    exact.  The returned array is new; ``b`` is not modified.
     """
     # imported here so that the rest of the package loads without SciPy
     from scipy.linalg.blas import ztbsv
@@ -206,16 +218,27 @@ def _band_solver(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
     _lapack_info("zgbtrf", info)
     if np.array_equal(piv, np.arange(ab.shape[1])):
-        # L's multipliers sit in rows 5-6 under a diagonal row that diag=1
-        # ignores; U (rows 0-4) is read from lu in place, whose rows 5-6 lie
-        # past the band that ztbsv reads
+        # U[i, j] sits at lu[4 + i - j, j] and L's multipliers in rows 5-6,
+        # under a diagonal row that diag=1 ignores
         low = np.asfortranarray(lu[4:])
-        return lambda b: ztbsv(4, lu, ztbsv(2, low, b, lower=1, diag=1),
-                               overwrite_x=1)
+        # U1[i, j] = U[i, j] / d[i] goes into rows 0-1, the pivot fill (all
+        # zero here): row r of column j is scaled by 1 / d[j - 2 + r]; read
+        # with k = 2, lu's row 2 is U1's diagonal, which diag=1 ignores
+        rd = 1.0 / lu[4]
+        lu[0, 2:] = lu[2, 2:] * rd[:-2]
+        lu[1, 1:] = lu[3, 1:] * rd[:-1]
+        r2 = 2.0 * rd
+
+        def solve(b):
+            y = ztbsv(2, low, b, lower=1, diag=1)
+            y *= r2
+            return ztbsv(2, lu, y, diag=1, overwrite_x=1)
+        return solve
 
     def solve(b):
         chi, info = zgbtrs(lu, 2, 2, b, piv)
         _lapack_info("zgbtrs", info)
+        chi *= 2.0
         return chi
     return solve
 
@@ -246,11 +269,12 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     Scheme: with A = 1 + i H dt / 2, the step A psi^(n+1) = (2 - A) psi^n
     is taken as psi^(n+1) = 2 A^-1 psi^n - psi^n (Goldberg, Schey & Schwartz,
-    Am. J. Phys. 35, 177 (1967)).  A is LU-factored once (LAPACK zgbtrf) and
-    each step is one banded solve (``_band_solver``) with no product by
-    2 - A.  With ``vt`` set, A changes every step and is re-factored.
+    Am. J. Phys. 35, 177 (1967)).  A is LU-factored once (LAPACK zgbtrf);
+    each step is ``_band_solver``'s 2 A^-1 psi^n (two unit triangular band
+    solves and one multiply) and one in-place subtraction, with no product
+    by 2 - A.  With ``vt`` set, A changes every step and is re-factored.
     """
-    cfg.validate(spec)
+    cfg.validate(spec, pot)
     x = cfg.x
     dx = cfg.dx
     m = spec.m
@@ -273,16 +297,14 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     alpha = 1j * cfg.dt / 2.0
     # LAPACK band storage of A (kl = ku = 2): A[i, j] sits at ab[4 + i - j, j];
     # rows 0-1 are workspace for the fill-in of the pivoted factorisation
-    ab_off = np.zeros((7, x.size), dtype=complex)
-    ab_off[2, 2:] = ab_off[6, :-2] = alpha * d2
-    ab_off[3, 1:] = ab_off[5, :-1] = alpha * d1
+    ab_0 = np.zeros((7, x.size), dtype=complex, order="F")
+    ab_0[2, 2:] = ab_0[6, :-2] = alpha * d2
+    ab_0[3, 1:] = ab_0[5, :-1] = alpha * d1
+    ab_0[4] = 1.0 + alpha * d0
 
     def factor(v_shift: float):
-        # uniform shift only touches the interior diagonal
-        shift = np.zeros(x.size, dtype=complex)
-        shift[1:-1] = v_shift
-        ab = ab_off.copy(order="F")  # so that zgbtrf factors it in place
-        ab[4] = 1.0 + alpha * (d0 + shift)
+        ab = ab_0.copy(order="F")  # so that zgbtrf factors it in place
+        ab[4, 1:-1] += alpha * v_shift  # a uniform shift skips the wall rows
         return _band_solver(ab)
 
     if vt is None:
@@ -310,7 +332,9 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     for i in range(1, n_steps + 1):
         if vt is not None:
             solve = factor(float(vt(times[i - 1] + 0.5 * cfg.dt)))
-        psi = 2.0 * solve(psi) - psi
+        psi_next = solve(psi)
+        psi_next -= psi
+        psi = psi_next
         norms[i] = dx * np.vdot(psi, psi).real
         record(i, psi)
 

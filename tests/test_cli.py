@@ -138,6 +138,22 @@ class TestExitCodes:
                                f"--time-factor={value}")
         assert code == 2 and "config error: --time-factor:" in err
 
+    # in a well of depth |V0| the packet's top momentum p_max = 2.5 grows to
+    # sqrt(p_max^2 + 2 m |V0|): 10.3 at V0 = -50, past what the oracle's
+    # coarse dx = 0.25 resolves; 2.69 at V0 = -0.5, within it (a barrier,
+    # V0 = 1.125, adds nothing)
+    @pytest.mark.parametrize("v0, expected", [("-50", 3), ("-0.5", 0), ("1.125", 0)])
+    def test_oracle_checks_grid_in_wells(self, capsys, v0, expected):
+        code, out, err = run_cli(capsys, "oracle", "--preset", "fig2", f"--v0={v0}",
+                                 "--time-factor", "1.5")
+        assert code == expected
+        if expected == 3:
+            assert out == "" and "Traceback" not in err
+            assert "UnstableConfig" in err and "dx = 0.25" in err and "depth 50" in err
+        else:
+            (row,) = json.loads(out)["oracle"]
+            assert abs(row["difference"]) < 1e-3
+
 
 # a numeric field takes a float-range edge, a typical value or any finite float
 _NUMBER = st.one_of(st.sampled_from([0.0, -1.0, 1e308, -1e308]),

@@ -35,13 +35,13 @@ class TestSolverConfig:
         cfg = GridSolverConfig(x_min=-100.0, x_max=100.0, n_x=64,
                                dt=1e-3, t_final=1.0)
         with pytest.raises(UnstableConfig):
-            cfg.validate(spec)
+            cfg.validate(spec, PiecewisePotential.free())
 
     def test_rejects_large_time_step(self, spec):
         cfg = GridSolverConfig(x_min=-100.0, x_max=100.0, n_x=2048,
                                dt=0.5, t_final=1.0)
         with pytest.raises(UnstableConfig):
-            cfg.validate(spec)
+            cfg.validate(spec, PiecewisePotential.free())
 
 
 @pytest.mark.parametrize("p_i", [-0.2, -2.0])
@@ -55,7 +55,7 @@ def test_step_bound_holds_for_left_moving_packets(p_i):
     grid = _flux_solver_grid(cfg)
     e_max = (abs(p_i) + 10.0 * spec.sigma_p) ** 2 / (2.0 * spec.m)
     assert e_max * grid.dt <= 0.16
-    grid.validate(spec)
+    grid.validate(spec, PiecewisePotential.free())
 
 
 class TestSamplePotential:
@@ -178,6 +178,7 @@ class TestCrankNicolson:
     # small diagonal, whose LU interchanges rows
     @pytest.mark.parametrize("diag, pivots", [(1.0 + 2.5j, False), (0.01, True)])
     def test_band_solver_matches_zgbtrs(self, diag, pivots):
+        # the solver returns 2 A^-1 b
         from scipy.linalg.lapack import zgbtrf, zgbtrs
         rng = np.random.default_rng(3)
         n = 64
@@ -189,8 +190,57 @@ class TestCrankNicolson:
         assert np.array_equal(piv, np.arange(n)) != pivots
         ref = zgbtrs(lu, 2, 2, b, piv)[0]
         got = _band_solver(ab.copy())(b)
-        # the same operations in the same order
-        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+        # without interchanges the solver forms 1 / diag(U) once, at factor
+        # time, and multiplies by it where zgbtrs divides: the same
+        # triangular solves, rounded differently by a few eps; with
+        # interchanges it is zgbtrs itself, doubled exactly
+        assert np.max(np.abs(got - 2 * ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(2 * ref))
+
+    def test_matches_solve_banded_reference(self, spec):
+        # 200 absorbed steps of A psi^(n+1) = (2 - A) psi^n, each solved by
+        # scipy.linalg.solve_banded (LAPACK zgbsv), a routine the solver
+        # never calls, with the product by 2 - A taken explicitly
+        from scipy.linalg import solve_banded
+        from sts_toa.oracle import _hamiltonian_diagonals
+        cfg = dataclasses.replace(FREE_GRID, t_final=200 * FREE_GRID.dt,
+                                  absorber_width=30.0)
+        got = crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg).psi_final
+
+        x, w = cfg.x, cfg.absorber_width
+        ramp = (np.clip(1.0 - (x - cfg.x_min) / w, 0.0, 1.0) ** 4
+                + np.clip(1.0 - (cfg.x_max - x) / w, 0.0, 1.0) ** 4)
+        v = -1j * spec.p_i**2 / (2.0 * spec.m) * ramp
+        d2, d1, d0 = _hamiltonian_diagonals(v, cfg.dx, spec.m)
+        alpha = 1j * cfg.dt / 2.0
+        a_band = np.zeros((5, x.size), dtype=complex)
+        a_band[0, 2:] = a_band[4, :-2] = alpha * d2
+        a_band[1, 1:] = a_band[3, :-1] = alpha * d1
+        a_band[2] = 1.0 + alpha * d0
+
+        def times_h(p):
+            hp = d0 * p
+            hp[:-1] += d1 * p[1:]
+            hp[1:] += d1 * p[:-1]
+            hp[:-2] += d2 * p[2:]
+            hp[2:] += d2 * p[:-2]
+            return hp
+
+        psi = psi_position(spec, x).astype(complex)
+        for _ in range(200):
+            psi = solve_banded((2, 2), a_band, psi - alpha * times_h(psi))
+        assert np.max(np.abs(got - psi)) <= 1e-13 * np.max(np.abs(psi))
+
+    def test_probes_are_the_stencil_on_the_state(self, absorbed_runs):
+        # the last probe record, taken during the run, against the stencil
+        # read off the final state
+        res = absorbed_runs[0]
+        psi, dx = res.psi_final, res.x[1] - res.x[0]
+        for probe in res.probes.values():
+            j = probe.index
+            deriv = (psi[j - 2] - 8.0 * psi[j - 1]
+                     + 8.0 * psi[j + 1] - psi[j + 2]) / (12.0 * dx)
+            assert np.array_equal(probe.values[-1], psi[j])
+            assert np.array_equal(probe.derivs[-1], deriv)
 
     def test_transmitted_norm_before_crossing_is_zero(self, free_run):
         # after 20 time units the dispersing tail has not reached x = 50

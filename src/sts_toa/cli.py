@@ -112,29 +112,19 @@ def _emit(result, args):
     print()
 
 
-def _cmd_free_toa(args) -> int:
-    cfg = _build_config(args, forced_models=["kijowski_free"], forced_v0=[0.0])
-    _emit(run_scenario(cfg), args)
-    return EXIT_OK
+# the models and barrier heights each scenario subcommand forces (None keeps
+# the config's)
+_FORCED = {"free-toa": (["kijowski_free"], [0.0]), "barrier-toa": (["sts"], None),
+           "compare": (None, None), "sweep": (None, None)}
 
 
-def _cmd_barrier_toa(args) -> int:
-    cfg = _build_config(args, forced_models=["sts"])
-    _emit(run_scenario(cfg), args)
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    cfg = _build_config(args)
-    if not {"sts", "kijowski_transmitted"} <= set(cfg.models):
+def _cmd_scenario(args) -> int:
+    models, v0 = _FORCED[args.command]
+    cfg = _build_config(args, forced_models=models, forced_v0=v0)
+    if args.command == "compare" and not {"sts", "kijowski_transmitted"} <= set(cfg.models):
         cfg = _build_config(args, forced_models=["sts", "kijowski_transmitted"])
-    _emit(run_scenario(cfg), args)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    _emit(run_scenario(cfg, max_workers=_thread_cap()), args)
+    workers = _thread_cap() if args.command == "sweep" else 1
+    _emit(run_scenario(cfg, max_workers=workers), args)
     return EXIT_OK
 
 
@@ -155,9 +145,6 @@ def _cmd_oracle(args) -> int:
                                                time_factor=args.time_factor)
         except ConfigError as exc:  # more than 2**20 grid points or steps
             raise ConfigError("--time-factor", str(exc)) from exc
-        except OverflowError as exc:  # the packet width at t_measure overflows
-            raise ConfigError("--time-factor",
-                              "solver grid size overflows a double") from exc
         rows.append({"v0": v0,
                      "arrival_probability": model.arrival_probability,
                      "grid_solver_transmitted_norm": solver,
@@ -236,22 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "standard-QM grid-solver oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    handlers = {}
     for name, fn, doc in [
-            ("free-toa", _cmd_free_toa, "free-packet arrival density"),
-            ("barrier-toa", _cmd_barrier_toa, "space-conditional density behind the barrier"),
-            ("compare", _cmd_compare, "model comparison with L1 distances"),
-            ("sweep", _cmd_sweep, "barrier-height sweep (STS_TOA_THREADS caps workers)"),
+            ("free-toa", _cmd_scenario, "free-packet arrival density"),
+            ("barrier-toa", _cmd_scenario, "space-conditional density behind the barrier"),
+            ("compare", _cmd_scenario, "model comparison with L1 distances"),
+            ("sweep", _cmd_scenario, "barrier-height sweep (STS_TOA_THREADS caps workers)"),
             ("oracle", _cmd_oracle, "arrival probability vs grid-solver transmitted norm"),
             ("selfcheck", _cmd_selfcheck, "run the fast invariant suite")]:
         p = sub.add_parser(name, help=doc)
+        p.set_defaults(_handler=fn)
         if name != "selfcheck":
             _add_common(p)
         if name == "oracle":
-            p.add_argument("--time-factor", type=float, default=4.0,
+            p.add_argument("--time-factor", type=float, default=5.0,
                            help="measurement time in units of the free crossing time")
-        handlers[name] = fn
-    parser.set_defaults(_handlers=handlers)
     return parser
 
 
@@ -259,7 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args._handlers[args.command](args)
+        return args._handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,8 +20,8 @@ from .potential import PiecewisePotential
 
 __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
            "transfer_matrix_T", "crank_nicolson_evolve", "flux_toa",
-           "time_potential_solution", "snapped_grid_config",
-           "barrier_oracle_config", "barrier_transmission_norm",
+           "time_potential_solution", "barrier_oracle_config",
+           "flux_oracle_config", "barrier_transmission_norm",
            "transmitted_norm"]
 
 # cap on the grid points and on the steps of one solver run; 2**20 is >= 40x
@@ -32,13 +32,6 @@ _MAX_GRID_SIZE = 2**20
 # advances a component of energy E by 2 arctan(E dt / 2) rather than E dt,
 # a phase error of (E dt)^3 / 12 per step (3.4e-4 rad at the bound)
 _MAX_STEP_PHASE = 0.16
-
-
-def _absorber_width(spec: GaussianPacketSpec) -> float:
-    """Width of the absorbing ramps of a grid whose left wall sits at
-    x_i - 6 delta - width: 30, or 3 delta for wider packets, so that the wall
-    lies >= 9 delta from the packet centre, where |psi| < 1e-8 at t = 0."""
-    return max(30.0, 3.0 * spec.delta)
 
 
 def _top_momentum(spec: GaussianPacketSpec) -> float:
@@ -383,19 +376,25 @@ def transmitted_norm(result: CNResult, x_cut: float) -> float:
     return dx * float(np.sum(np.abs(psi[mask]) ** 2))
 
 
-def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
-                        t_final: float, dx: float,
-                        absorber_width: float = 0.0) -> GridSolverConfig:
-    """Solver grid covering [x_lo, x_hi] with spacing dx, run to t_final.
+def _absorbed_grid(spec: GaussianPacketSpec, x_right: float, t_final: float,
+                   dx: float) -> GridSolverConfig:
+    """Solver grid with spacing dx from x_i - 6 delta to x_right, run to
+    t_final, with an absorbing ramp beyond each end.
 
-    The walls are snapped outward to multiples of dx so that segment edges
-    and detectors at such multiples land on grid points; dt is the largest
-    step that divides t_final evenly and advances the packet's top energy
-    E_max = (|p_i| + 10 sigma_p)^2 / 2m by at most 0.16 rad.  CN accuracy is
-    set by that phase at the energies the packet holds, not by the grid's
-    shortest wavelength.  A grid of more than 2**20 points or steps raises
-    ConfigError naming ``n_x`` or ``t_final``, before anything is allocated.
+    The ramps are 30 wide, or 3 delta for packets wider than delta = 10, so
+    that the left wall lies >= 9 delta from the packet centre, where
+    |psi| < 1e-8 at t = 0.  The walls are snapped outward to multiples of dx
+    so that segment edges and detectors at such multiples land on grid
+    points; dt is the largest step that divides t_final evenly and advances
+    the packet's top energy E_max = (|p_i| + 10 sigma_p)^2 / 2m by at most
+    0.16 rad.  CN accuracy is set by that phase at the energies the packet
+    holds, not by the grid's shortest wavelength.  A grid of more than 2**20
+    points or steps raises ConfigError naming ``n_x`` or ``t_final``, before
+    anything is allocated.
     """
+    absorber = max(30.0, 3.0 * spec.delta)
+    x_lo = spec.x_i - 6.0 * spec.delta - absorber
+    x_hi = x_right + absorber
     with np.errstate(all="ignore"):
         x_min = np.floor(x_lo / dx) * dx
         x_max = np.ceil(x_hi / dx) * dx
@@ -414,46 +413,61 @@ def snapped_grid_config(spec: GaussianPacketSpec, x_lo: float, x_hi: float,
     n_steps = int(n_steps)
     return GridSolverConfig(x_min=float(x_min), x_max=float(x_max), n_x=int(n_x),
                             dt=t_final / n_steps, t_final=t_final,
-                            absorber_width=absorber_width)
+                            absorber_width=absorber)
 
 
 def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
-                          time_factor: float = 1.5,
-                          dx_target: float = 0.125) -> tuple[GridSolverConfig, float, float]:
-    """Solver config for the square-barrier runs.
+                          time_factor: float,
+                          dx_target: float) -> tuple[GridSolverConfig, float, float]:
+    """Absorbed solver grid of spacing ``dx_target`` for the square-barrier
+    runs.
 
     Returns (config, x_cut, t_measure): the transmitted norm is read beyond
     x_cut = L + 5 delta at t_measure = time_factor times the free classical
-    crossing time to x_cut.  The domain runs from x_i - 6 delta to where the
-    transmitted front has not reached by t_measure, and each end carries an
-    absorbing ramp beyond that, 30 wide (3 delta for packets wider than
-    delta = 10).  The left ramp swallows the reflected packet, which
-    ``transmitted_norm`` never reads, so the domain is not sized to carry it
-    until t_measure.
+    crossing time to x_cut.  The right ramp starts where the transmitted
+    front has not reached by t_measure.  The left ramp swallows the
+    reflected packet, which ``transmitted_norm`` never reads, so the domain
+    is not sized to carry it until t_measure.  A time factor whose grid
+    size overflows a double raises the grid builder's ConfigError naming
+    ``n_x``.
     """
     v = spec.p_i / spec.m
     x_cut = length + 5.0 * spec.delta
     t_meas = time_factor * (x_cut - spec.x_i) / v
-    # spread of the dispersing packet by t_meas
-    width_t = spec.delta * np.sqrt(1.0 + (t_meas / (2.0 * spec.m * spec.delta**2)) ** 2)
+    # spread of the dispersing packet by t_meas; inf where it overflows
+    with np.errstate(over="ignore"):
+        width_t = spec.delta * np.sqrt(
+            1.0 + (np.float64(t_meas) / (2.0 * spec.m * spec.delta**2)) ** 2)
     pad = 6.0 * width_t
-    absorber = _absorber_width(spec)
-    x_lo = spec.x_i - 6.0 * spec.delta - absorber
-    x_hi = max(spec.x_i + v * t_meas + pad, x_cut + pad) + absorber
-    cfg = snapped_grid_config(spec, x_lo, x_hi, t_meas, dx_target,
-                              absorber_width=absorber)
-    return cfg, x_cut, t_meas
+    x_right = max(spec.x_i + v * t_meas + pad, x_cut + pad)
+    return _absorbed_grid(spec, x_right, t_meas, dx_target), x_cut, t_meas
+
+
+def flux_oracle_config(spec: GaussianPacketSpec, detector_x: float,
+                       t_final: float) -> GridSolverConfig:
+    """Absorbed solver grid of the ``flux_oracle`` model, run to t_final.
+
+    dx = 0.125, because the probe derivative's O(dx^4) error at dx = 0.25
+    visibly biases the current's integral.  The right ramp starts 8 delta
+    past the detector, so that wall reflections never reach it inside the
+    time window.  ValueError unless the detector is a grid node.
+    """
+    cfg = _absorbed_grid(spec, detector_x + 8.0 * spec.delta, t_final, 0.125)
+    _probe_index(cfg, detector_x)
+    return cfg
 
 
 def barrier_transmission_norm(spec: GaussianPacketSpec, v0: float, length: float,
-                              time_factor: float = 4.0) -> float:
+                              time_factor: float) -> float:
     """Late-time transmitted norm from the grid solver.
 
-    Runs the barrier scattering at dx = 0.25 and 0.125 and Richardson-
-    extrapolates the second-order interface error away; the coarse/fine pair
-    costs a fraction of one sufficiently fine run.  ``time_factor`` is chosen
-    late enough that slow near-turning-point components have cleared the
-    measurement cut.
+    Runs the barrier scattering on ``barrier_oracle_config``'s grids at
+    dx = 0.25 and 0.125 and Richardson-extrapolates the second-order
+    interface error away; the coarse/fine pair costs a fraction of one
+    sufficiently fine run.  ``time_factor`` must be late enough that slow
+    near-turning-point components have cleared the measurement cut: for the
+    fig2 packet at V0 = 1.8, 4 leaves a gap of 1.1e-3 to the transmitted
+    Kijowski arrival probability and 5 one of 1.7e-4.
     """
     pot = PiecewisePotential.square_barrier(v0, length)
     # both grids are built before either run, so an oversized one fails fast

@@ -17,7 +17,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
-
-if TYPE_CHECKING:  # the grid solver is imported only by the flux_oracle model
-    from .oracle import GridSolverConfig
 
 __all__ = [
     "MODEL_NAMES", "ScenarioConfig", "SweepPoint", "ScenarioResult",
@@ -138,9 +134,10 @@ class ScenarioConfig:
                               "regime: x_i + 5 delta <= 0 and p_i - 5 sigma_p > 0")
         self._check_derived_scales()
         if "flux_oracle" in self.models:
-            from .oracle import _probe_index
+            # imported here so that a sweep without the grid solver never loads it
+            from .oracle import flux_oracle_config
             try:
-                _probe_index(_flux_solver_grid(self), self.detector_x)
+                flux_oracle_config(self.packet, self.detector_x, self.tgrid.t_max)
             except ConfigError as exc:
                 field_name = "detector_x" if exc.field == "n_x" else "tgrid.t_max"
                 raise ConfigError(field_name, f"flux_oracle solver grid: {exc}") from exc
@@ -304,29 +301,13 @@ class ScenarioResult:
         return {"points": out}
 
 
-def _flux_solver_grid(cfg: ScenarioConfig) -> GridSolverConfig:
-    """Grid-solver grid of the flux_oracle model.
-
-    The spatial domain is padded and terminated with absorbing ramps so that
-    wall reflections never reach the detector inside the time window.
-    """
-    from .oracle import _absorber_width, snapped_grid_config
-    spec = cfg.packet
-    absorber = _absorber_width(spec)
-    # probe-derivative accuracy is O(dx^4); dx = 0.25 visibly biases the integral
-    return snapped_grid_config(spec, spec.x_i - 6.0 * spec.delta - absorber,
-                               cfg.detector_x + 8.0 * spec.delta + absorber,
-                               cfg.tgrid.t_max, 0.125, absorber_width=absorber)
-
-
 def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
     """Probability current at the detector from the grid solver, resampled
     onto the scenario time grid."""
-    from .oracle import crank_nicolson_evolve, flux_toa
-    pot = (PiecewisePotential.free() if v0 == 0.0
-           else PiecewisePotential.square_barrier(v0, cfg.barrier_length))
-    result = crank_nicolson_evolve(cfg.packet, pot, _flux_solver_grid(cfg),
-                                   probe_x=(cfg.detector_x,))
+    from .oracle import crank_nicolson_evolve, flux_oracle_config, flux_toa
+    pot = PiecewisePotential.square_barrier(v0, cfg.barrier_length)
+    grid = flux_oracle_config(cfg.packet, cfg.detector_x, cfg.tgrid.t_max)
+    result = crank_nicolson_evolve(cfg.packet, pot, grid, probe_x=(cfg.detector_x,))
     series = flux_toa(result, cfg.detector_x)
     return np.interp(cfg.tgrid.samples, series.times, series.current)
 

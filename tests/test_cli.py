@@ -50,9 +50,10 @@ class TestExitCodes:
         assert code == 3 and "GridTooCoarse" in err
 
     def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("STS_TOA_THREADS", "many")
-        code, _, _ = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "0")
-        assert code == 2
+        for value in ("many", "0"):
+            monkeypatch.setenv("STS_TOA_THREADS", value)
+            code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "0")
+            assert code == 2 and "config error: STS_TOA_THREADS:" in err
 
     @pytest.mark.parametrize("cfg, field", [
         ({"preset": "fig2", "packet": {"x_i": -10.0}}, "packet"),
@@ -231,12 +232,35 @@ class TestSubcommands:
         assert point["arrival_probability"]["flux_oracle"] == pytest.approx(1.0, abs=1e-3)
         assert point["mean_time"]["flux_oracle"] == pytest.approx(50.0, abs=1.0)
 
-    def test_compare_reports_distance(self, capsys):
-        code, out, _ = run_cli(capsys, "compare", "--preset", "fig2",
-                               "--v0", "4.5")
+    def test_flux_oracle_svg_clips_backflow(self, capsys, tmp_path):
+        # a detector between the packet and a barrier it cannot cross sees
+        # the incident packet's positive current and the reflected packet's
+        # negative one; the plot draws the current clipped at 0, solid
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "barrier": {"v0": [4.5]},
+                                    "detector_x": -10.0, "models": ["flux_oracle"]}))
+        out_svg = tmp_path / "flux.svg"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
+                             "--out-svg", str(out_svg))
         assert code == 0
-        (point,) = json.loads(out)["points"]
-        assert 0.0 < point["l1_distance_sts_kijowski"] < 0.2
+        text = out_svg.read_text(encoding="utf-8")
+        assert ">flux oracle</text>" in text
+        (line,) = [l for l in text.splitlines() if l.startswith("<polyline")]
+        assert "stroke-dasharray" not in line
+        ys = [float(xy.split(",")[1]) for xy in line.split('"')[1].split()]
+        # one panel: the axis t sits at y = 280, larger y lies below it
+        assert max(ys) == 280.0 and min(ys) < 100.0
+        assert sum(y == 280.0 for y in ys) > len(ys) // 4
+
+    def test_compare_reports_distance(self, capsys):
+        # a model list without both compared models is replaced by both
+        for models in ([], ["--models", "sts"]):
+            code, out, _ = run_cli(capsys, "compare", "--preset", "fig2",
+                                   "--v0", "4.5", *models)
+            assert code == 0
+            (point,) = json.loads(out)["points"]
+            assert {"sts", "kijowski_transmitted"} <= set(point["mean_time"])
+            assert 0.0 < point["l1_distance_sts_kijowski"] < 0.2
 
     def test_sweep_zero_barrier_csv_identity(self, capsys, tmp_path):
         out_csv = tmp_path / "zero.csv"

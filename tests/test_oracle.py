@@ -6,7 +6,7 @@ import pytest
 from sts_toa.errors import UnstableConfig
 from sts_toa.oracle import (GridSolverConfig, _band_solver, _lapack_info,
                             _sample_potential, barrier_oracle_config,
-                            crank_nicolson_evolve, flux_toa,
+                            crank_nicolson_evolve, flux_oracle_config, flux_toa,
                             time_potential_solution, transfer_matrix_T,
                             transmitted_norm)
 from sts_toa.packet import GaussianPacketSpec, psi_position
@@ -47,12 +47,8 @@ class TestSolverConfig:
 @pytest.mark.parametrize("p_i", [-0.2, -2.0])
 def test_step_bound_holds_for_left_moving_packets(p_i):
     # the packet's top speed is |p_i| + 10 sigma_p whichever way it moves
-    from sts_toa.scenario import ScenarioConfig, _flux_solver_grid
-    cfg = ScenarioConfig.from_dict({"preset": "fig2", "packet": {"p_i": p_i},
-                                    "models": ["flux_oracle"],
-                                    "tgrid": {"t_max": 10.0}})
-    spec = cfg.packet
-    grid = _flux_solver_grid(cfg)
+    spec = GaussianPacketSpec(x_i=-50.0, p_i=p_i, delta=10.0)
+    grid = flux_oracle_config(spec, 50.0, 10.0)
     e_max = (abs(p_i) + 10.0 * spec.sigma_p) ** 2 / (2.0 * spec.m)
     assert e_max * grid.dt <= 0.16
     grid.validate(spec, PiecewisePotential.free())
@@ -94,11 +90,9 @@ class TestSamplePotential:
 def test_absorbing_grids_clear_the_packet(delta, tgrid):
     # crank_nicolson_evolve rejects |psi| > 1e-8 at a wall; both absorbing
     # grids put the left wall at x_i - 6 delta - (absorber width)
-    from sts_toa.scenario import ScenarioConfig, _flux_solver_grid
     spec = GaussianPacketSpec(x_i=-5.0 * delta - 1.0, p_i=2.0, delta=delta)
-    flux_cfg = ScenarioConfig(packet=spec, v0_list=(0.0,), barrier_length=10.0,
-                              detector_x=50.0, tgrid=tgrid, models=("flux_oracle",))
-    for cfg in (barrier_oracle_config(spec, 10.0)[0], _flux_solver_grid(flux_cfg)):
+    for cfg in (barrier_oracle_config(spec, 10.0, time_factor=1.5, dx_target=0.125)[0],
+                flux_oracle_config(spec, 50.0, tgrid.t_max)):
         assert abs(psi_position(spec, np.array([cfg.x_min]))[0]) < 1e-8
 
 

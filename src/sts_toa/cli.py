@@ -43,7 +43,7 @@ def _thread_cap() -> int:
         raise ConfigError("STS_TOA_THREADS", f"not an integer: {raw!r}")
     if n < 1:
         raise ConfigError("STS_TOA_THREADS", "must be >= 1")
-    return n
+    return min(n, os.cpu_count() or 1)
 
 
 def _add_common(p: argparse.ArgumentParser):

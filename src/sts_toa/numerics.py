@@ -166,8 +166,7 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
     reused while consecutive calls share the pair.  method="direct"
     accumulates the sum explicitly.
     """
-    values = getattr(amps, "values", amps)
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(amps, dtype=complex)
     if values.shape != (egrid.n,):
         raise ValueError(f"amplitude shape {values.shape} does not match grid ({egrid.n},)")
     _check_nyquist(egrid, tgrid)

@@ -2,8 +2,8 @@
 
 Four tools that never touch the space-conditional solver: a transfer-matrix
 transmission amplitude, a Crank-Nicolson grid propagator, the probability
-current sampled at a detector point, and the closed-form solution for
-spatially uniform time-dependent potentials.
+current sampled at a detector point, and the closed-form spreading Gaussian
+under a spatially uniform time-dependent potential.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, UnstableConfig
-from .numerics import _trapezoid_weights
-from .packet import GaussianPacketSpec, psi_momentum, psi_position
+from .packet import GaussianPacketSpec, psi_position
 from .potential import PiecewisePotential
 
 __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
@@ -478,35 +477,24 @@ def barrier_transmission_norm(spec: GaussianPacketSpec, v0: float, length: float
     return (4.0 * norms[1] - norms[0]) / 3.0
 
 
-def time_potential_solution(spec: GaussianPacketSpec, vt, x, t: float):
+def time_potential_solution(spec: GaussianPacketSpec, vt: Callable[[float], float],
+                            x, t: float):
     """Wave function at time t under a spatially uniform potential V(t).
 
-    psi(x|t) = exp(-i Integral_0^t V dt') * free packet evolution,
-    evaluated as a 4097-point momentum quadrature over p_i +/- 12 sigma_p:
-    the uniform potential commutes with everything and contributes only the
-    global phase (itself a 4097-point trapezoid rule).  ``vt`` is either a
-    callable V(t) or a (times, values) table covering [0, t].
+    V(t) commutes with the kinetic term and contributes only a global phase:
+    psi(x|t) = exp(-i Integral_0^t V dt') psi_free(x|t), the integral a
+    4097-point trapezoid rule.  psi_free is the spreading Gaussian in closed
+    form (Cohen-Tannoudji, Diu & Laloe, Complement G_I),
+    (2 pi delta^2)^(-1/4) (1 + i tau)^(-1/2) exp(-z^2/(1 + i tau) - p_i^2 delta^2)
+    with tau = t/(2 m delta^2), z = (x - x_i)/(2 delta) - i p_i delta; at t = 0
+    it is ``psi_position``.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    n = 4097
-    tt = np.linspace(0.0, t, n)
-    if callable(vt):
-        vv = np.asarray([vt(float(s)) for s in tt], dtype=float)
-    else:
-        tab_t, tab_v = (np.asarray(a, dtype=float) for a in vt)
-        if tab_t[0] > 0.0 or tab_t[-1] < t:
-            raise ValueError("tabulated potential does not cover [0, t]")
-        vv = np.interp(tt, tab_t, tab_v)
-    v_phase = np.trapezoid(vv, tt) if t > 0.0 else 0.0
-
-    m = spec.m
-    p = np.linspace(spec.p_i - 12.0 * spec.sigma_p, spec.p_i + 12.0 * spec.sigma_p, n)
-    dp = p[1] - p[0]
-    amp = psi_momentum(spec, p)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    kern = np.exp(1j * np.outer(x_arr, p)
-                  - 1j * np.outer(np.full_like(x_arr, t), p**2) / (2.0 * m))
-    psi = (kern @ (amp * _trapezoid_weights(n))) * dp / np.sqrt(2.0 * np.pi)
-    psi = psi * np.exp(-1j * v_phase)
-    return psi[0] if np.ndim(x) == 0 else psi
+    tt = np.linspace(0.0, t, 4097)
+    v_phase = np.trapezoid([vt(float(s)) for s in tt], tt)
+    d = spec.delta
+    w = 1.0 + 1j * t / (2.0 * spec.m * d**2)
+    z = (np.asarray(x, dtype=float) - spec.x_i) / (2.0 * d) - 1j * spec.p_i * d
+    return ((2.0 * np.pi * d**2) ** -0.25 / np.sqrt(w)
+            * np.exp(-z**2 / w - (spec.p_i * d) ** 2 - 1j * v_phase))

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sts_toa.cli import main
+from sts_toa.cli import _thread_cap, main
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,10 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "0")
             assert code == 2 and "config error: STS_TOA_THREADS:" in err
 
+    def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("STS_TOA_THREADS", "100000")
+        assert 1 <= _thread_cap() <= (os.cpu_count() or 1)
+
     @pytest.mark.parametrize("cfg, field", [
         ({"preset": "fig2", "packet": {"x_i": -10.0}}, "packet"),
         ({"preset": "fig2", "barrier": {"v0": [1.8], "length": 0.0}},
@@ -68,6 +73,10 @@ class TestExitCodes:
         ({"preset": "fig2", "packet": {"hbar": 2.0}}, "packet.hbar"),
         ({"preset": "fig2", "packet": {"x_i": float("-inf")}}, "packet.x_i"),
         ({"preset": "fig2", "barrier": {"v0": [float("nan")]}}, "barrier.v0"),
+        ({"preset": "fig2", "barrier": {"v0": []}}, "barrier.v0"),
+        ({"preset": "fig2", "models": []}, "models"),
+        ({"preset": "fig2", "models": "sts"}, "models"),
+        ({"preset": "fig2", "tgrid": {"n": "4096"}}, "tgrid.n"),
         ({"preset": "fig2", "barrier": {"v0": [10**400]}}, "barrier.v0"),
         ({"preset": "fig2", "method": "slices:99999999999"}, "method"),
         ({"preset": "fig2",
@@ -96,7 +105,8 @@ class TestExitCodes:
           "tgrid": {"t_min": 0.0, "t_max": 1e17, "n": 64}}, "tgrid.t_max"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
-            "x_i-infinite", "v0-nan", "v0-int-past-float-range", "huge-slice-count",
+            "x_i-infinite", "v0-nan", "v0-empty", "models-empty", "models-string",
+            "tgrid-n-string", "v0-int-past-float-range", "huge-slice-count",
             "huge-tgrid", "huge-egrid", "v0-exponent-overflows",
             "detector-phase-overflows", "x_i-phase-overflows",
             "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long",

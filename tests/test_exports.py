@@ -1,7 +1,9 @@
 """Every library module's ``__all__`` lists the public functions and classes
-the module defines, and every name in it resolves; importing the package
-loads no SciPy module, and the fig2 sweep does not load the grid solver."""
+the module defines, and every name in it resolves; no module imports another's
+private name; importing the package loads no SciPy module, and the fig2 sweep
+does not load the grid solver."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -29,6 +31,16 @@ def test_all_matches_public_definitions(name):
     assert not defined - exported, f"public but not in __all__: {defined - exported}"
     unresolved = {n for n in exported if not hasattr(mod, n)}
     assert not unresolved, f"__all__ names that do not resolve: {unresolved}"
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for path in sorted(Path(sts_toa.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                            f"import {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not private, private
 
 
 def _run_python(script: str) -> str:

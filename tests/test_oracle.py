@@ -278,33 +278,8 @@ class TestTimePotential:
     CFG = GridSolverConfig(x_min=-70.0, x_max=30.0, n_x=2001,
                            dt=2e-3, t_final=10.0)
 
-    def _sample_points(self, res):
-        mask = (res.x > -40.0) & (res.x < 0.0)
-        return res.x[mask], mask
-
-    def test_constant_potential_is_pure_phase(self):
-        x = np.linspace(-40.0, 0.0, 201)
-        free = time_potential_solution(self.SPEC, lambda t: 0.0, x, 10.0)
-        const = time_potential_solution(self.SPEC, lambda t: 3.7, x, 10.0)
-        assert np.max(np.abs(np.abs(const) ** 2 - np.abs(free) ** 2)) < 1e-12
-
     def test_zero_potential_matches_grid_solver(self):
         res = crank_nicolson_evolve(self.SPEC, PiecewisePotential.free(), self.CFG)
-        xs, mask = self._sample_points(res)
-        psi_ref = time_potential_solution(self.SPEC, lambda t: 0.0, xs, 10.0)
+        mask = (res.x > -40.0) & (res.x < 0.0)
+        psi_ref = time_potential_solution(self.SPEC, lambda t: 0.0, res.x[mask], 10.0)
         assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-6
-
-    def test_tabulated_ramp_matches_grid_solver(self):
-        times = np.linspace(0.0, 10.0, 101)
-        table = (times, 0.05 * times)
-        res = crank_nicolson_evolve(self.SPEC, PiecewisePotential.free(),
-                                    self.CFG, vt=lambda t: 0.05 * t)
-        xs, mask = self._sample_points(res)
-        psi_ref = time_potential_solution(self.SPEC, table, xs, 10.0)
-        assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-5
-
-    def test_table_must_cover_window(self):
-        with pytest.raises(ValueError):
-            time_potential_solution(self.SPEC, (np.array([0.0, 5.0]),
-                                                np.array([0.0, 1.0])),
-                                    np.array([0.0]), 10.0)

@@ -9,9 +9,10 @@ sweep         the above over a list of barrier heights (optionally threaded)
 oracle        cross-check arrival probability against the grid solver
 selfcheck     run the fast invariant suite and print pass/fail lines
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(zero arrival, aliasing grid, evanescent overflow, unstable solver grid,
-or a failed selfcheck).
+Each subcommand takes only the flags it reads (see its --help).  Exit codes:
+0 success, 2 configuration error (an unknown flag or config key included),
+3 numerical failure (zero arrival, aliasing grid, evanescent overflow,
+unstable solver grid, or a failed selfcheck).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,20 +48,28 @@ def _thread_cap() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH", help="JSON scenario config")
-    p.add_argument("--preset", choices=["fig2"], help="named parameter preset")
-    p.add_argument("--v0", metavar="LIST",
-                   help="comma-separated barrier heights, overrides config")
-    p.add_argument("--method", metavar="M",
-                   help="propagation method: closed | slices:<n>")
-    p.add_argument("--models", metavar="LIST",
-                   help=f"comma-separated subset of {','.join(MODEL_NAMES)}")
-    p.add_argument("--out-csv", metavar="PATH", help="write density table(s)")
-    p.add_argument("--out-svg", metavar="PATH", help="write stacked-panel plot")
+# every flag a subcommand may take, in --help order; a flag the subcommand
+# does not take is absent from its namespace
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="JSON scenario config"),
+    "--preset": dict(choices=["fig2"], help="named parameter preset"),
+    "--v0": dict(metavar="LIST", help="comma-separated barrier heights, overrides config"),
+    "--method": dict(metavar="M", help="propagation method: closed | slices:<n>"),
+    "--models": dict(metavar="LIST",
+                     help=f"comma-separated subset of {','.join(MODEL_NAMES)}"),
+    "--out-csv": dict(metavar="PATH", help="write density table(s)"),
+    "--out-svg": dict(metavar="PATH", help="write stacked-panel plot"),
+    "--time-factor": dict(type=float, default=5.0,
+                          help="measurement time in units of the free crossing time"),
+}
 
 
-def _build_config(args, forced_models=None, forced_v0=None) -> ScenarioConfig:
+# the models and barrier heights a subcommand forces over the config's
+_FORCED = {"free-toa": (["kijowski_free"], [0.0]), "barrier-toa": (["sts"], None),
+           "oracle": (["kijowski_transmitted"], None)}
+
+
+def _build_config(args) -> ScenarioConfig:
     raw = {}
     if args.config:
         try:
@@ -75,23 +85,26 @@ def _build_config(args, forced_models=None, forced_v0=None) -> ScenarioConfig:
         raw["preset"] = args.preset
     if not raw:
         raise ConfigError("--config", "provide --config and/or --preset")
-    if args.v0 is not None:
+    # no subcommand both forces a value and takes its flag
+    models, v0 = _FORCED.get(args.command, (None, None))
+    if getattr(args, "v0", None) is not None:
         try:
             v0 = [float(s) for s in args.v0.split(",") if s.strip()]
         except ValueError:
             raise ConfigError("--v0", f"not a number list: {args.v0!r}")
-        raw.setdefault("barrier", {})
-        raw["barrier"] = dict(raw["barrier"], v0=v0)
-    if args.method is not None:
+    if v0 is not None and isinstance(raw.setdefault("barrier", {}), dict):
+        raw["barrier"]["v0"] = v0  # a barrier that is no object fails in from_dict
+    if getattr(args, "method", None) is not None:
         raw["method"] = args.method
-    if args.models is not None:
-        raw["models"] = [s.strip() for s in args.models.split(",") if s.strip()]
-    if forced_models is not None:
-        raw["models"] = list(forced_models)
-    if forced_v0 is not None:
-        raw.setdefault("barrier", {})
-        raw["barrier"] = dict(raw["barrier"], v0=forced_v0)
-    return ScenarioConfig.from_dict(raw)
+    if getattr(args, "models", None) is not None:
+        models = [s.strip() for s in args.models.split(",") if s.strip()]
+    if models is not None:
+        raw["models"] = models
+    cfg = ScenarioConfig.from_dict(raw)
+    if args.command == "compare":  # the requested models plus the compared pair
+        pair = tuple(m for m in ("sts", "kijowski_transmitted") if m not in cfg.models)
+        cfg = replace(cfg, models=cfg.models + pair)
+    return cfg
 
 
 def _emit(result, args):
@@ -112,19 +125,9 @@ def _emit(result, args):
     print()
 
 
-# the models and barrier heights each scenario subcommand forces (None keeps
-# the config's)
-_FORCED = {"free-toa": (["kijowski_free"], [0.0]), "barrier-toa": (["sts"], None),
-           "compare": (None, None), "sweep": (None, None)}
-
-
 def _cmd_scenario(args) -> int:
-    models, v0 = _FORCED[args.command]
-    cfg = _build_config(args, forced_models=models, forced_v0=v0)
-    if args.command == "compare" and not {"sts", "kijowski_transmitted"} <= set(cfg.models):
-        cfg = _build_config(args, forced_models=["sts", "kijowski_transmitted"])
     workers = _thread_cap() if args.command == "sweep" else 1
-    _emit(run_scenario(cfg, max_workers=workers), args)
+    _emit(run_scenario(_build_config(args), max_workers=workers), args)
     return EXIT_OK
 
 
@@ -223,20 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "standard-QM grid-solver oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in [
-            ("free-toa", _cmd_scenario, "free-packet arrival density"),
-            ("barrier-toa", _cmd_scenario, "space-conditional density behind the barrier"),
-            ("compare", _cmd_scenario, "model comparison with L1 distances"),
-            ("sweep", _cmd_scenario, "barrier-height sweep (STS_TOA_THREADS caps workers)"),
-            ("oracle", _cmd_oracle, "arrival probability vs grid-solver transmitted norm"),
-            ("selfcheck", _cmd_selfcheck, "run the fast invariant suite")]:
+    io = {"--config", "--preset", "--out-csv", "--out-svg"}
+    scenario = io | {"--v0", "--method", "--models"}
+    for name, fn, doc, flags in [
+            ("free-toa", _cmd_scenario, "free-packet arrival density", io),
+            ("barrier-toa", _cmd_scenario, "space-conditional density behind the barrier",
+             io | {"--v0", "--method"}),
+            ("compare", _cmd_scenario, "model comparison with L1 distances", scenario),
+            ("sweep", _cmd_scenario, "barrier-height sweep (STS_TOA_THREADS caps workers)",
+             scenario),
+            ("oracle", _cmd_oracle, "arrival probability vs grid-solver transmitted norm",
+             {"--config", "--preset", "--v0", "--time-factor"}),
+            ("selfcheck", _cmd_selfcheck, "run the fast invariant suite", set())]:
         p = sub.add_parser(name, help=doc)
         p.set_defaults(_handler=fn)
-        if name != "selfcheck":
-            _add_common(p)
-        if name == "oracle":
-            p.add_argument("--time-factor", type=float, default=5.0,
-                           help="measurement time in units of the free crossing time")
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **spec)
     return parser
 
 

@@ -47,6 +47,11 @@ _MAX_GRID_POINTS = 2**20
 # from this phase magnitude on, adjacent doubles lie >= 1 rad apart
 _MAX_PHASE = 2.0**52
 
+# every field from_dict reads, a section's keys prefixed by its name
+_FIELDS = {"packet", "packet.x_i", "packet.p_i", "packet.delta", "packet.m", "detector_x",
+           "barrier", "barrier.v0", "barrier.length", "tgrid", "tgrid.t_min", "tgrid.t_max",
+           "tgrid.n", "egrid", "egrid.e_min", "egrid.e_max", "egrid.n", "models", "method"}
+
 # Expanded form of the reference figure: barrier sweep over four heights,
 # detector well past the barrier, time window wide enough for the slow
 # over-barrier components.
@@ -128,10 +133,10 @@ class ScenarioConfig:
             raise ConfigError("detector_x",
                               "detector must sit beyond the barrier end for "
                               "transmitted-packet models")
-        if "sts" in self.models and not self.packet.in_scattering_regime():
-            raise ConfigError("packet",
-                              "the sts model needs a packet in the scattering "
-                              "regime: x_i + 5 delta <= 0 and p_i - 5 sigma_p > 0")
+        if needs_transmission and not self.packet.in_scattering_regime():
+            raise ConfigError("packet", "sts and kijowski_transmitted need a packet in the "
+                                        "scattering regime: x_i + 5 delta <= 0 and "
+                                        "p_i - 5 sigma_p > 0")
         self._check_derived_scales()
         if "flux_oracle" in self.models:
             # imported here so that a sweep without the grid solver never loads it
@@ -205,15 +210,10 @@ class ScenarioConfig:
                 else:
                     merged[key] = val
             raw = merged
-        unknown = set(raw) - {"packet", "barrier", "detector_x", "tgrid",
-                              "egrid", "models", "method", "initial_amplitude"}
+        unknown = sorted({*raw, *(f"{key}.{sub}" for key, val in raw.items()
+                                  if isinstance(val, dict) for sub in val)} - _FIELDS)
         if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown field")
-        # one initial amplitude is implemented; the key stays readable for
-        # existing configs
-        if raw.get("initial_amplitude", "match-standard-qm") != "match-standard-qm":
-            raise ConfigError("initial_amplitude",
-                              "only 'match-standard-qm' is implemented")
+            raise ConfigError(unknown[0], "unknown field")
 
         pk = _require(raw, "packet", dict, "packet")
         packet = _build("packet", lambda: GaussianPacketSpec(
@@ -221,10 +221,6 @@ class ScenarioConfig:
             p_i=_require(pk, "p_i", float, "packet.p_i"),
             delta=_require(pk, "delta", float, "packet.delta"),
             m=_require(pk, "m", float, "packet.m") if "m" in pk else 1.0))
-        # units have hbar = 1; the key stays readable for existing configs
-        if "hbar" in pk and _require(pk, "hbar", float, "packet.hbar") != 1.0:
-            raise ConfigError("packet.hbar", "units have hbar = 1; omit the key "
-                                             "or set it to 1")
 
         br = _require(raw, "barrier", dict, "barrier")
         v0_raw = br.get("v0", 0.0)

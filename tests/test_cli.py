@@ -103,6 +103,14 @@ class TestExitCodes:
          "tgrid.t_min"),
         ({"preset": "fig2", "barrier": {"v0": [0.0]},
           "tgrid": {"t_min": 0.0, "t_max": 1e17, "n": 64}}, "tgrid.t_max"),
+        ({"preset": "fig2", "packet": {"x0": -40.0}}, "packet.x0"),
+        ({"preset": "fig2", "barrier": {"height": 1.0}}, "barrier.height"),
+        ({"preset": "fig2", "tgrid": {"N": 2048}}, "tgrid.N"),
+        ({"preset": "fig2", "egrid": {"e_min": 0.5, "e_max": 4.0, "n": 4096, "N": 1}},
+         "egrid.N"),
+        ({"preset": "fig2", "packet": {"hbar": 1.0}}, "packet.hbar"),
+        ({"preset": "fig2", "packet": {"x_i": 5.0}, "barrier": {"v0": [4.5]},
+          "models": ["kijowski_transmitted"]}, "packet"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
             "x_i-infinite", "v0-nan", "v0-empty", "models-empty", "models-string",
@@ -112,12 +120,31 @@ class TestExitCodes:
             "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long",
             "flux-detector-off-grid", "flux-detector-left-of-packet",
             "t_min-phase-without-digits",
-            "t_max-phase-without-digits"])
+            "t_max-phase-without-digits", "packet-unknown-key", "barrier-unknown-key",
+            "tgrid-unknown-key", "egrid-unknown-key", "hbar-one",
+            "kijowski-packet-not-scattering"])
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
+
+    def test_v0_override_of_a_barrier_that_is_no_object(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "barrier": [["length", 3.0]]}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path), "--v0", "0")
+        assert code == 2 and "config error: barrier: expected dict" in err
+
+    # each subcommand takes only the flags it reads; argparse exits in main()
+    @pytest.mark.parametrize("command, flag", [
+        ("oracle", "--out-csv"), ("oracle", "--out-svg"), ("oracle", "--method"),
+        ("oracle", "--models"), ("free-toa", "--v0"), ("free-toa", "--models"),
+        ("free-toa", "--method"), ("barrier-toa", "--models")])
+    def test_unread_flag_is_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig2", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_energy_floor_far_below_the_packet(self, capsys, tmp_path):
         # |T| <= 1 keeps transmission_amplitude's denominator no smaller
@@ -190,8 +217,7 @@ _SHARED = {
 _CONFIGS = st.one_of(
     st.fixed_dictionaries({"preset": st.just("fig2")}, optional={
         **_SHARED,
-        "packet": _fields(x_i=_NUMBER, p_i=_NUMBER, delta=_NUMBER, m=_NUMBER,
-                          hbar=_NUMBER),
+        "packet": _fields(x_i=_NUMBER, p_i=_NUMBER, delta=_NUMBER, m=_NUMBER),
         "tgrid": st.fixed_dictionaries({"t_min": _NUMBER, "t_max": _NUMBER, "n": _N}),
         "models": _CLOSED_FORM,
     }),
@@ -263,7 +289,7 @@ class TestSubcommands:
         assert sum(y == 280.0 for y in ys) > len(ys) // 4
 
     def test_compare_reports_distance(self, capsys):
-        # a model list without both compared models is replaced by both
+        # a model list without both compared models gains the missing one
         for models in ([], ["--models", "sts"]):
             code, out, _ = run_cli(capsys, "compare", "--preset", "fig2",
                                    "--v0", "4.5", *models)
@@ -271,6 +297,33 @@ class TestSubcommands:
             (point,) = json.loads(out)["points"]
             assert {"sts", "kijowski_transmitted"} <= set(point["mean_time"])
             assert 0.0 < point["l1_distance_sts_kijowski"] < 0.2
+
+    def test_compare_keeps_requested_models(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--preset", "fig2", "--v0", "4.5",
+                               "--models", "kijowski_free")
+        assert code == 0
+        (point,) = json.loads(out)["points"]
+        assert set(point["arrival_probability"]) == {"sts", "kijowski_transmitted",
+                                                     "kijowski_free"}
+        assert "l1_distance_sts_kijowski" in point
+
+    # oracle runs transmitted Kijowski only: a detector inside the barrier is
+    # rejected whatever the config's models, and a detector off the flux
+    # solver's nodes no longer matters
+    @pytest.mark.parametrize("cfg, expected", [
+        ({"preset": "fig2", "detector_x": 5.0, "models": ["kijowski_free"]}, 2),
+        ({"preset": "fig2", "detector_x": 50.01, "models": ["flux_oracle"]}, 0)])
+    def test_oracle_reads_only_its_model(self, capsys, tmp_path, cfg, expected):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "oracle", "--config", str(path),
+                                 "--v0", "1.125", "--time-factor", "1.5")
+        assert code == expected
+        if expected == 2:
+            assert "config error: detector_x:" in err
+        else:
+            (row,) = json.loads(out)["oracle"]
+            assert abs(row["difference"]) < 1e-3
 
     def test_sweep_zero_barrier_csv_identity(self, capsys, tmp_path):
         out_csv = tmp_path / "zero.csv"

@@ -85,12 +85,12 @@ class TestFourier:
         return np.exp(-((e - 2.0) / 0.1) ** 2).astype(complex)
 
     # Bluestein's convolution has n_E + n_t - 1 terms and is padded to the
-    # smallest 2**a, 3 * 2**a or 5 * 2**a at least that long: 8191 -> 8192,
-    # 12287 -> 12288 and 5119 -> 5120 reach each branch, 8193 -> 10240 sits
-    # one past a power of two, 5120 -> 5120 fits with no slack, and
+    # smallest 2**a, 3 * 2**a or 5 * 2**a at least that long: 8191 -> 8192
+    # (n_E = n_t = 4096, checked on the same family by acceptance criterion
+    # 10), 12287 -> 12288 and 5119 -> 5120 reach each branch, 8193 -> 10240
+    # sits one past a power of two, 5120 -> 5120 fits with no slack, and
     # 5121 -> 6144 is where a length rule one short would pad to 5120
-    @pytest.mark.parametrize("n_e, n_t", [(4096, 4096), (4096, 8192),
-                                          (4097, 1023), (4097, 4097),
+    @pytest.mark.parametrize("n_e, n_t", [(4096, 8192), (4097, 1023), (4097, 4097),
                                           (4097, 1024), (4097, 1025)])
     def test_fft_matches_direct(self, n_e, n_t):
         egrid = EnergyGrid(1.0, 3.0, n_e)

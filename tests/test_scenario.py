@@ -36,9 +36,6 @@ class TestConfigParsing:
             ScenarioConfig.from_dict({"packet": {"x_i": 0.0, "p_i": 1.0}})
         assert exc.value.field == "packet.delta"
 
-    def test_hbar_one_is_the_default(self):
-        assert fig2(packet={"hbar": 1.0}) == fig2()
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError) as exc:
             fig2(models=["sts", "bogus"])

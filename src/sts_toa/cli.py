@@ -5,7 +5,7 @@ Subcommands
 free-toa      arrival-time density of the free packet at the detector
 barrier-toa   space-conditional density behind the square barrier
 compare       space-conditional vs transmitted-Kijowski densities + L1 distance
-sweep         the above over a list of barrier heights (optionally threaded)
+sweep         the above over a list of barrier heights
 oracle        cross-check arrival probability against the grid solver
 selfcheck     run the fast invariant suite and print pass/fail lines
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -35,17 +34,6 @@ EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (ZeroArrival, GridTooCoarse, DivergenceWarning,
                    UnstableConfig, GridMismatch)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("STS_TOA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("STS_TOA_THREADS", f"not an integer: {raw!r}")
-    if n < 1:
-        raise ConfigError("STS_TOA_THREADS", "must be >= 1")
-    return min(n, os.cpu_count() or 1)
 
 
 # every flag a subcommand may take, in --help order; a flag the subcommand
@@ -126,8 +114,7 @@ def _emit(result, args):
 
 
 def _cmd_scenario(args) -> int:
-    workers = _thread_cap() if args.command == "sweep" else 1
-    _emit(run_scenario(_build_config(args), max_workers=workers), args)
+    _emit(run_scenario(_build_config(args)), args)
     return EXIT_OK
 
 
@@ -233,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("barrier-toa", _cmd_scenario, "space-conditional density behind the barrier",
              io | {"--v0", "--method"}),
             ("compare", _cmd_scenario, "model comparison with L1 distances", scenario),
-            ("sweep", _cmd_scenario, "barrier-height sweep (STS_TOA_THREADS caps workers)",
-             scenario),
+            ("sweep", _cmd_scenario, "barrier-height sweep", scenario),
             ("oracle", _cmd_oracle, "arrival probability vs grid-solver transmitted norm",
              {"--config", "--preset", "--v0", "--time-factor"}),
             ("selfcheck", _cmd_selfcheck, "run the fast invariant suite", set())]:

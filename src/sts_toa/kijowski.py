@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMismatch
-from .evolution import TOADistribution, toa_density
+from .evolution import TOADistribution, check_scattering_setup, toa_density
 from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
@@ -58,15 +58,14 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
     reported arrival probability is the transmission probability
     integral |T(P) psi_momentum(P)|^2 dP.
     """
-    if not x > length:
-        raise ValueError("detector must sit beyond the barrier (x > length)")
+    check_scattering_setup(spec, length, x)
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     base = sc_initial_amplitude(spec, egrid)
     P = np.sqrt(2.0 * spec.m * egrid.samples)
     T = transmission_amplitude(P, v0, length, m=spec.m)
     values = T * base.values * np.exp(1j * P * x)
     amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
-    return toa_density(amps, x, tgrid, method=method)
+    return toa_density(amps, tgrid, method=method)
 
 
 def model_distance(a: TOADistribution, b: TOADistribution) -> float:

@@ -1,11 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sts_toa.cli import _thread_cap, main
+from sts_toa.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -49,16 +48,6 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "barrier-toa", "--config", str(path))
         assert code == 3 and "GridTooCoarse" in err
-
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        for value in ("many", "0"):
-            monkeypatch.setenv("STS_TOA_THREADS", value)
-            code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--v0", "0")
-            assert code == 2 and "config error: STS_TOA_THREADS:" in err
-
-    def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("STS_TOA_THREADS", "100000")
-        assert 1 <= _thread_cap() <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("cfg, field", [
         ({"preset": "fig2", "packet": {"x_i": -10.0}}, "packet"),
@@ -335,8 +324,7 @@ class TestSubcommands:
         data = np.genfromtxt(out_csv, delimiter=",", skip_header=1)
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-8
 
-    def test_sweep_threaded_outputs_sorted(self, capsys, monkeypatch):
-        monkeypatch.setenv("STS_TOA_THREADS", "4")
+    def test_sweep_outputs_sorted(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "fig2",
                                "--v0", "4.5,0,1.8", "--models", "sts")
         assert code == 0

@@ -131,8 +131,8 @@ class TestDensity:
         shifted = SpectralAmplitude(amps.values * np.exp(0.7j),
                                     anchor_x=amps.anchor_x, egrid=amps.egrid,
                                     m=amps.m)
-        a = toa_density(amps, 0.0, tgrid)
-        b = toa_density(shifted, 0.0, tgrid)
+        a = toa_density(amps, tgrid)
+        b = toa_density(shifted, tgrid)
         np.testing.assert_allclose(a.density, b.density,
                                    atol=1e-12 * a.density.max())
 
@@ -140,7 +140,7 @@ class TestDensity:
         zero = SpectralAmplitude(np.zeros(egrid.n, dtype=complex),
                                  anchor_x=0.0, egrid=egrid, m=1.0)
         with pytest.raises(ZeroArrival):
-            toa_density(zero, 0.0, tgrid)
+            toa_density(zero, tgrid)
 
 
 class TestFreeArrival:
@@ -163,7 +163,7 @@ class TestFreeArrival:
                 * np.exp(1j * egrid.samples * t0))
         shifted = SpectralAmplitude(vals, anchor_x=50.0,
                                     egrid=egrid, m=1.0)
-        dist = toa_density(shifted, 50.0, tgrid)
+        dist = toa_density(shifted, tgrid)
         scale = np.max(base.density)
         assert np.max(np.abs(dist.density[k:] - base.density[:-k])) / scale < 1e-10
 

@@ -6,7 +6,6 @@ does not load the grid solver."""
 import ast
 import importlib
 import inspect
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +43,10 @@ def test_no_module_imports_a_private_name():
 
 
 def _run_python(script: str) -> str:
+    # a fresh interpreter that imports the package under test first
     src = str(Path(sts_toa.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script], env=env,
+    script = f"import sys; sys.path.insert(0, {src!r})\n{script}"
+    return subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True).stdout
 
 

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sts_toa.errors import GridMismatch
-from sts_toa.evolution import TOADistribution, free_kijowski
+from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski
 from sts_toa.kijowski import (model_distance, transmission_amplitude,
                               transmitted_kijowski)
 from sts_toa.numerics import TimeGrid
 from sts_toa.oracle import transfer_matrix_T
+from sts_toa.packet import GaussianPacketSpec
 
 P_GRID = np.linspace(0.501, 4.001, 512)
 
@@ -89,6 +90,16 @@ class TestTransmittedDistribution:
         T = transmission_amplitude(p, 1.8, 10.0)
         expect = np.trapezoid(np.abs(T * psi_momentum(spec, p)) ** 2, p)
         assert dist.arrival_probability == pytest.approx(expect, abs=1e-6)
+
+    @pytest.mark.parametrize("pipeline", [barrier_toa, transmitted_kijowski],
+                             ids=["sts", "kijowski_transmitted"])
+    @pytest.mark.parametrize("x_i, x", [(5.0, 50.0), (-50.0, 5.0)],
+                             ids=["packet-inside-barrier", "detector-inside-barrier"])
+    def test_pipelines_need_a_scattering_setup(self, pipeline, x_i, x, tgrid):
+        # the library pipelines reject what ScenarioConfig rejects for these models
+        spec = GaussianPacketSpec(x_i=x_i, p_i=2.0, delta=10.0)
+        with pytest.raises(ValueError):
+            pipeline(spec, 4.5, 10.0, x, tgrid)
 
 
 class TestModelDistance:

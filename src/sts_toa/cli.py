@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (ConfigError, DivergenceWarning, GridMismatch,
                      GridTooCoarse, UnstableConfig, ZeroArrival)
-from .scenario import MODEL_NAMES, ScenarioConfig, emit_csv, emit_svg, run_scenario
+from .scenario import (COMPARED_PAIR, MODEL_NAMES, ScenarioConfig, emit_csv, emit_svg,
+                       run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,8 +54,9 @@ _FLAGS = {
 
 
 # the models and barrier heights a subcommand forces over the config's
-_FORCED = {"free-toa": (["kijowski_free"], [0.0]), "barrier-toa": (["sts"], None),
-           "oracle": (["kijowski_transmitted"], None)}
+_FORCED = {"free-toa": {"models": ("kijowski_free",), "v0_list": (0.0,)},
+           "barrier-toa": {"models": ("sts",)},
+           "oracle": {"models": ("kijowski_transmitted",)}}
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -73,25 +75,23 @@ def _build_config(args) -> ScenarioConfig:
         raw["preset"] = args.preset
     if not raw:
         raise ConfigError("--config", "provide --config and/or --preset")
-    # no subcommand both forces a value and takes its flag
-    models, v0 = _FORCED.get(args.command, (None, None))
+    # flags replace the config's values; no subcommand both forces a value
+    # and takes its flag
     if getattr(args, "v0", None) is not None:
         try:
             v0 = [float(s) for s in args.v0.split(",") if s.strip()]
         except ValueError:
             raise ConfigError("--v0", f"not a number list: {args.v0!r}")
-    if v0 is not None and isinstance(raw.setdefault("barrier", {}), dict):
-        raw["barrier"]["v0"] = v0  # a barrier that is no object fails in from_dict
+        if isinstance(raw.setdefault("barrier", {}), dict):
+            raw["barrier"]["v0"] = v0  # a barrier that is no object fails in from_dict
     if getattr(args, "method", None) is not None:
         raw["method"] = args.method
     if getattr(args, "models", None) is not None:
-        models = [s.strip() for s in args.models.split(",") if s.strip()]
-    if models is not None:
-        raw["models"] = models
-    cfg = ScenarioConfig.from_dict(raw)
+        raw["models"] = [s.strip() for s in args.models.split(",") if s.strip()]
+    cfg = ScenarioConfig.from_dict(raw, forced=_FORCED.get(args.command))
     if args.command == "compare":  # the requested models plus the compared pair
-        pair = tuple(m for m in ("sts", "kijowski_transmitted") if m not in cfg.models)
-        cfg = replace(cfg, models=cfg.models + pair)
+        missing = tuple(m for m in COMPARED_PAIR if m not in cfg.models)
+        cfg = replace(cfg, models=cfg.models + missing)
     return cfg
 
 
@@ -126,7 +126,7 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("--time-factor", "must be a finite number > 0")
     cfg = _build_config(args)
     rows = []
-    for v0 in sorted(set(cfg.v0_list)):
+    for v0 in cfg.v0_list:
         model = transmitted_kijowski(cfg.packet, v0, cfg.barrier_length,
                                      cfg.detector_x, cfg.tgrid,
                                      egrid=cfg.energy_grid())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceWarning, ZeroArrival
+from .errors import ConfigError, DivergenceWarning, ZeroArrival
 from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
@@ -155,11 +155,12 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
 
 
 def check_scattering_setup(spec: GaussianPacketSpec, length: float, x: float):
-    """Raise ValueError unless the packet scatters off [0, length] and x > length."""
+    """Raise ConfigError unless x > length and the packet is in the scattering regime."""
     if not x > length:
-        raise ValueError("detector must sit beyond the barrier (x > length)")
+        raise ConfigError("detector_x", "transmitted-packet models need x > barrier length")
     if not spec.in_scattering_regime():
-        raise ValueError("packet must start left of the origin with positive momenta")
+        raise ConfigError("packet", "transmitted-packet models need x_i + 5 delta <= 0 "
+                                    "and p_i - 5 sigma_p > 0")
 
 
 def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,

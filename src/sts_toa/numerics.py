@@ -49,6 +49,24 @@ def complex_sqrt_2m(E, V, m):
     return out
 
 
+def _sample_uniformly(grid, lo_name: str, hi_name: str):
+    """Set the frozen ``grid``'s n ``samples`` from field lo_name to field hi_name
+    and their ``spacing``; ValueError unless hi > lo, n >= 2 and all are finite."""
+    lo, hi, n = getattr(grid, lo_name), getattr(grid, hi_name), grid.n
+    if not hi > lo:
+        raise ValueError(f"{hi_name} must exceed {lo_name}")
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    with np.errstate(all="ignore"):  # an overflow is reported below, not warned about
+        samples = np.linspace(lo, hi, n)
+        spacing = (hi - lo) / (n - 1)
+    if not (np.isfinite(spacing) and np.all(np.isfinite(samples))):
+        raise ValueError(f"the spacing or a sample of [{lo_name}, {hi_name}] "
+                         "overflows a double")
+    object.__setattr__(grid, "samples", samples)
+    object.__setattr__(grid, "spacing", spacing)
+
+
 @dataclass(frozen=True)
 class EnergyGrid:
     """Uniform ascending energy grid; never contains E = 0."""
@@ -57,19 +75,12 @@ class EnergyGrid:
     e_max: float
     n: int
     samples: np.ndarray = field(init=False, repr=False, compare=False)
+    spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.e_min > 0.0:
             raise ValueError(f"e_min must be > 0, got {self.e_min}")
-        if not self.e_max > self.e_min:
-            raise ValueError("e_max must exceed e_min")
-        if self.n < 2:
-            raise ValueError("need at least 2 samples")
-        object.__setattr__(self, "samples", np.linspace(self.e_min, self.e_max, self.n))
-
-    @property
-    def spacing(self) -> float:
-        return (self.e_max - self.e_min) / (self.n - 1)
+        _sample_uniformly(self, "e_min", "e_max")
 
 
 @dataclass(frozen=True)
@@ -80,17 +91,10 @@ class TimeGrid:
     t_max: float
     n: int
     samples: np.ndarray = field(init=False, repr=False, compare=False)
+    spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.t_max > self.t_min:
-            raise ValueError("t_max must exceed t_min")
-        if self.n < 2:
-            raise ValueError("need at least 2 samples")
-        object.__setattr__(self, "samples", np.linspace(self.t_min, self.t_max, self.n))
-
-    @property
-    def spacing(self) -> float:
-        return (self.t_max - self.t_min) / (self.n - 1)
+        _sample_uniformly(self, "t_min", "t_max")
 
 
 def trapezoid_complex(values, spacing: float) -> complex:

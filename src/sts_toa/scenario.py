@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import TOADistribution, barrier_toa, free_kijowski
+from .evolution import TOADistribution, barrier_toa, check_scattering_setup, free_kijowski
 from .kijowski import model_distance, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
 from .packet import GaussianPacketSpec, default_energy_grid
@@ -29,13 +29,23 @@ from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
 
 __all__ = [
-    "MODEL_NAMES", "ScenarioConfig", "SweepPoint", "ScenarioResult",
+    "MODEL_NAMES", "COMPARED_PAIR", "ScenarioConfig", "SweepPoint", "ScenarioResult",
     "run_scenario", "emit_csv", "emit_svg",
 ]
 
-MODEL_NAMES = ("sts", "kijowski_transmitted", "kijowski_free", "flux_oracle")
+# the two transmitted-packet models: both need the scattering setup, and a
+# sweep point with both reports their L1 distance
+COMPARED_PAIR = ("sts", "kijowski_transmitted")
 
-_CSV_HEADER = "t,rho_sts,rho_kijowski_transmitted,rho_kijowski_free,flux"
+# the closed-form models in CSV column and SVG curve order, with each curve's
+# line style and legend label
+_CURVES = {"sts": ("solid", "STS"),
+           "kijowski_transmitted": ("dashed", "Kijowski (transmitted)"),
+           "kijowski_free": ("dotted", "Kijowski (free)")}
+
+MODEL_NAMES = (*_CURVES, "flux_oracle")
+
+_CSV_HEADER = ",".join(["t", *(f"rho_{name}" for name in _CURVES), "flux"])
 _CSV_BLOCK = 256  # rows per formatted block
 
 _METHOD_RE = re.compile(r"^(closed|slices:(\d+))$")
@@ -90,6 +100,17 @@ def _require(dct, key, typ, field_name, at_most=None):
     return val
 
 
+def _check_models_and_heights(models, v0_list):
+    """The per-field checks of the two fields a CLI subcommand may force."""
+    if not models:
+        raise ConfigError("models", "at least one model is required")
+    for name in models:
+        if name not in MODEL_NAMES:
+            raise ConfigError("models", f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    if not v0_list:
+        raise ConfigError("barrier.v0", "at least one barrier height is required")
+
+
 def _build(field_name, make):
     """Call ``make()``; a ValueError or OverflowError it raises becomes a
     ConfigError naming ``field_name``."""
@@ -111,32 +132,20 @@ class ScenarioConfig:
     detector_x: float
     tgrid: TimeGrid
     egrid: EnergyGrid | None = None
-    models: tuple[str, ...] = ("sts", "kijowski_transmitted", "kijowski_free")
+    models: tuple[str, ...] = tuple(FIG2_PRESET["models"])
     method: str = "closed"
 
     def __post_init__(self):
-        for name in self.models:
-            if name not in MODEL_NAMES:
-                raise ConfigError("models", f"unknown model {name!r}; choose from {MODEL_NAMES}")
-        if not self.models:
-            raise ConfigError("models", "at least one model is required")
+        _check_models_and_heights(self.models, self.v0_list)
+        object.__setattr__(self, "v0_list", tuple(sorted(set(self.v0_list))))  # sweep order
         if not _METHOD_RE.match(self.method):
             raise ConfigError("method", "must be 'closed' or 'slices:<n>'")
         if self.n_slices is not None and not 1 <= self.n_slices <= _MAX_SLICES:
             raise ConfigError("method", f"slice count must be in [1, {_MAX_SLICES}]")
         if not self.barrier_length > 0:
             raise ConfigError("barrier.length", "must be > 0")
-        if not self.v0_list:
-            raise ConfigError("barrier.v0", "at least one barrier height is required")
-        needs_transmission = {"sts", "kijowski_transmitted"} & set(self.models)
-        if needs_transmission and not self.detector_x > self.barrier_length:
-            raise ConfigError("detector_x",
-                              "detector must sit beyond the barrier end for "
-                              "transmitted-packet models")
-        if needs_transmission and not self.packet.in_scattering_regime():
-            raise ConfigError("packet", "sts and kijowski_transmitted need a packet in the "
-                                        "scattering regime: x_i + 5 delta <= 0 and "
-                                        "p_i - 5 sigma_p > 0")
+        if set(COMPARED_PAIR) & set(self.models):
+            check_scattering_setup(self.packet, self.barrier_length, self.detector_x)
         self._check_derived_scales()
         if "flux_oracle" in self.models:
             # imported here so that a sweep without the grid solver never loads it
@@ -197,7 +206,10 @@ class ScenarioConfig:
         return self.egrid if self.egrid is not None else default_energy_grid(self.packet)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+    def from_dict(cls, raw: dict, forced: dict | None = None) -> "ScenarioConfig":
+        """The config ``raw`` describes; ``forced`` maps ``models`` or ``v0_list``
+        to values that replace the config's own once those pass their
+        per-field checks, so the cross-field checks see the forced values."""
         raw = dict(raw)
         preset_name = raw.pop("preset", None)
         if preset_name is not None:
@@ -245,11 +257,13 @@ class ScenarioConfig:
         models = raw.get("models", list(FIG2_PRESET["models"]))
         if not isinstance(models, list) or not all(isinstance(mn, str) for mn in models):
             raise ConfigError("models", "expected a list of model names")
+        _check_models_and_heights(models, v0_list)  # the config's own, even if forced
 
-        return cls(packet=packet, v0_list=v0_list, barrier_length=length,
-                   detector_x=_require(raw, "detector_x", float, "detector_x"),
-                   tgrid=tgrid, egrid=egrid, models=tuple(models),
-                   method=str(raw.get("method", "closed")))
+        fields = dict(packet=packet, v0_list=v0_list, barrier_length=length,
+                      detector_x=_require(raw, "detector_x", float, "detector_x"),
+                      tgrid=tgrid, egrid=egrid, models=tuple(models),
+                      method=str(raw.get("method", "closed")))
+        return cls(**{**fields, **(forced or {})})
 
 
 @dataclass
@@ -323,8 +337,8 @@ def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
         dists["kijowski_free"] = free_dist
     flux = _flux_oracle_series(cfg, v0) if "flux_oracle" in cfg.models else None
     distance = None
-    if "sts" in dists and "kijowski_transmitted" in dists:
-        distance = model_distance(dists["sts"], dists["kijowski_transmitted"])
+    if all(name in dists for name in COMPARED_PAIR):
+        distance = model_distance(*(dists[name] for name in COMPARED_PAIR))
     return SweepPoint(v0=v0, distributions=dists, flux=flux,
                       distance_sts_kijowski=distance)
 
@@ -333,20 +347,20 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     """Evaluate every requested model at every barrier height.
 
     Points may be evaluated concurrently (``max_workers`` > 1); results are
-    assembled in ascending V0 order either way, so output is deterministic.
+    assembled in the config's ascending V0 order either way, so output is
+    deterministic.
     """
     egrid = cfg.energy_grid()
     free_dist = None
     if "kijowski_free" in cfg.models:
         free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid,
                                   egrid=egrid)
-    v0_sorted = sorted(set(cfg.v0_list))
-    if max_workers > 1 and len(v0_sorted) > 1:
+    if max_workers > 1 and len(cfg.v0_list) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             points = list(pool.map(
-                lambda v0: _evaluate_point(cfg, v0, egrid, free_dist), v0_sorted))
+                lambda v0: _evaluate_point(cfg, v0, egrid, free_dist), cfg.v0_list))
     else:
-        points = [_evaluate_point(cfg, v0, egrid, free_dist) for v0 in v0_sorted]
+        points = [_evaluate_point(cfg, v0, egrid, free_dist) for v0 in cfg.v0_list]
     return ScenarioResult(config=cfg, points=points)
 
 
@@ -370,8 +384,7 @@ def emit_csv(result: ScenarioResult, path) -> list[Path]:
              else [_point_path(base, pt.v0) for pt in result.points])
     t = result.tgrid.samples
     for pt, p in zip(result.points, paths):
-        dists = [pt.distributions.get(name)
-                 for name in ("sts", "kijowski_transmitted", "kijowski_free")]
+        dists = [pt.distributions.get(name) for name in _CURVES]
         cols = [t] + [None if d is None else d.density for d in dists] + [pt.flux]
         # one % per block of rows gives the digits of per-field f"{x:.17g}"
         row = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
@@ -395,10 +408,7 @@ def emit_svg(result: ScenarioResult, path) -> Path:
     panels = []
     for pt in result.points:
         curves = []
-        styling = [("sts", "solid", "STS"),
-                   ("kijowski_transmitted", "dashed", "Kijowski (transmitted)"),
-                   ("kijowski_free", "dotted", "Kijowski (free)")]
-        for name, style, label in styling:
+        for name, (style, label) in _CURVES.items():
             d = pt.distributions.get(name)
             if d is not None:
                 curves.append(Curve(label=label, t=t, rho=d.density, style=style))

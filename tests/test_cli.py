@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sts_toa.cli import main
 
@@ -11,6 +11,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# grids whose spacing, or whose linspace steps, overflow a double
+TGRID_OVERFLOWS = {"preset": "fig2", "tgrid": {"t_min": -1e308, "t_max": 1e308, "n": 8}}
+EGRID_OVERFLOWS = {"preset": "fig2",
+                   "egrid": {"e_min": 1e-30, "e_max": 1.7976931348623157e308, "n": 19}}
 
 
 class TestExitCodes:
@@ -100,6 +106,8 @@ class TestExitCodes:
         ({"preset": "fig2", "packet": {"hbar": 1.0}}, "packet.hbar"),
         ({"preset": "fig2", "packet": {"x_i": 5.0}, "barrier": {"v0": [4.5]},
           "models": ["kijowski_transmitted"]}, "packet"),
+        (TGRID_OVERFLOWS, "tgrid"),
+        (EGRID_OVERFLOWS, "egrid"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
             "x_i-infinite", "v0-nan", "v0-empty", "models-empty", "models-string",
@@ -111,7 +119,9 @@ class TestExitCodes:
             "t_min-phase-without-digits",
             "t_max-phase-without-digits", "packet-unknown-key", "barrier-unknown-key",
             "tgrid-unknown-key", "egrid-unknown-key", "hbar-one",
-            "kijowski-packet-not-scattering"])
+            "kijowski-packet-not-scattering", "tgrid-spacing-overflows",
+            "egrid-samples-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -231,6 +241,9 @@ class TestExitCodeContract:
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=_CONFIGS)
+    @example(cfg=TGRID_OVERFLOWS)
+    @example(cfg=EGRID_OVERFLOWS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_exits_0_2_or_3(self, capsys, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -313,6 +326,23 @@ class TestSubcommands:
         else:
             (row,) = json.loads(out)["oracle"]
             assert abs(row["difference"]) < 1e-3
+
+    # a subcommand's forced models replace the config's only after the
+    # config's own pass their checks; the cross-field checks see the forced ones
+    @pytest.mark.parametrize("command", ["free-toa", "barrier-toa", "oracle"])
+    def test_forced_models_check_the_config_models(self, capsys, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "models": ["nope"]}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2 and out == "" and "config error: models:" in err
+
+    def test_free_toa_ignores_the_scattering_setup(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "packet": {"x_i": 5.0}}))
+        code, out, _ = run_cli(capsys, "free-toa", "--config", str(path))
+        assert code == 0
+        (point,) = json.loads(out)["points"]
+        assert set(point["mean_time"]) == {"kijowski_free"}
 
     def test_sweep_zero_barrier_csv_identity(self, capsys, tmp_path):
         out_csv = tmp_path / "zero.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sts_toa.errors import GridMismatch
+from sts_toa.errors import ConfigError, GridMismatch
 from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski
 from sts_toa.kijowski import (model_distance, transmission_amplitude,
                               transmitted_kijowski)
@@ -93,13 +93,15 @@ class TestTransmittedDistribution:
 
     @pytest.mark.parametrize("pipeline", [barrier_toa, transmitted_kijowski],
                              ids=["sts", "kijowski_transmitted"])
-    @pytest.mark.parametrize("x_i, x", [(5.0, 50.0), (-50.0, 5.0)],
-                             ids=["packet-inside-barrier", "detector-inside-barrier"])
-    def test_pipelines_need_a_scattering_setup(self, pipeline, x_i, x, tgrid):
-        # the library pipelines reject what ScenarioConfig rejects for these models
+    @pytest.mark.parametrize("x_i, x, field", [
+        (5.0, 50.0, "packet"), (-50.0, 5.0, "detector_x"), (-50.0, 10.0, "detector_x")],
+        ids=["packet-inside-barrier", "detector-inside-barrier", "detector-at-barrier-end"])
+    def test_pipelines_need_a_scattering_setup(self, pipeline, x_i, x, field, tgrid):
+        # the library pipelines raise the error ScenarioConfig raises for these models
         spec = GaussianPacketSpec(x_i=x_i, p_i=2.0, delta=10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as exc:
             pipeline(spec, 4.5, 10.0, x, tgrid)
+        assert exc.value.field == field
 
 
 class TestModelDistance:

@@ -86,6 +86,12 @@ class TestRun:
     def test_points_sorted_by_height(self, small_result):
         assert [pt.v0 for pt in small_result.points] == [0.0, 4.5]
 
+    def test_heights_stored_ascending_without_repeats(self):
+        cfg = fig2(barrier={"v0": [4.5, 0.0, 4.5]},
+                   tgrid={"t_min": 0.0, "t_max": 150.0, "n": 64}, models=["sts"])
+        assert cfg.v0_list == (0.0, 4.5)
+        assert [pt.v0 for pt in run_scenario(cfg).points] == [0.0, 4.5]
+
     def test_summary_is_json_serializable(self, small_result):
         text = json.dumps(small_result.summary())
         assert "l1_distance_sts_kijowski" in text

@@ -11,9 +11,10 @@ the mass m is a parameter.
 
 from .errors import (ConfigError, DivergenceWarning, GridMismatch, GridTooCoarse,
                      UnstableConfig, ZeroArrival)
-from .evolution import (TOADistribution, barrier_toa, free_kijowski,
+from .evolution import (TOADistribution, barrier_amplitude, barrier_toa, free_kijowski,
                         propagate_closed_form, propagate_slices, toa_density)
-from .kijowski import model_distance, transmission_amplitude, transmitted_kijowski
+from .kijowski import (model_distance, transmission_amplitude, transmitted_amplitude,
+                       transmitted_kijowski)
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      psi_momentum, psi_position, sc_initial_amplitude)
@@ -27,10 +28,10 @@ __all__ = [
     "ConfigError", "DivergenceWarning", "EnergyGrid", "GaussianPacketSpec",
     "GridMismatch", "GridTooCoarse", "PiecewisePotential", "ScenarioConfig",
     "ScenarioResult", "SpectralAmplitude", "SweepPoint", "TOADistribution",
-    "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_toa",
+    "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_amplitude", "barrier_toa",
     "complex_sqrt_2m", "default_energy_grid", "emit_csv", "emit_svg",
     "fourier_E_to_t", "free_kijowski", "model_distance", "phase_theta",
     "propagate_closed_form", "propagate_slices", "psi_momentum",
     "psi_position", "run_scenario", "sc_initial_amplitude", "toa_density",
-    "transmission_amplitude", "transmitted_kijowski",
+    "transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
 ]

@@ -75,20 +75,20 @@ def _build_config(args) -> ScenarioConfig:
         raw["preset"] = args.preset
     if not raw:
         raise ConfigError("--config", "provide --config and/or --preset")
-    # flags replace the config's values; no subcommand both forces a value
-    # and takes its flag
+    # flag values replace the config's own as the values a subcommand forces
+    # do, once those pass their checks; no subcommand both forces a value and
+    # takes its flag
+    forced = dict(_FORCED.get(args.command, {}))
     if getattr(args, "v0", None) is not None:
         try:
-            v0 = [float(s) for s in args.v0.split(",") if s.strip()]
+            forced["v0_list"] = [float(s) for s in args.v0.split(",") if s.strip()]
         except ValueError:
             raise ConfigError("--v0", f"not a number list: {args.v0!r}")
-        if isinstance(raw.setdefault("barrier", {}), dict):
-            raw["barrier"]["v0"] = v0  # a barrier that is no object fails in from_dict
     if getattr(args, "method", None) is not None:
-        raw["method"] = args.method
+        forced["method"] = args.method
     if getattr(args, "models", None) is not None:
-        raw["models"] = [s.strip() for s in args.models.split(",") if s.strip()]
-    cfg = ScenarioConfig.from_dict(raw, forced=_FORCED.get(args.command))
+        forced["models"] = [s.strip() for s in args.models.split(",") if s.strip()]
+    cfg = ScenarioConfig.from_dict(raw, forced=forced)
     if args.command == "compare":  # the requested models plus the compared pair
         missing = tuple(m for m in COMPARED_PAIR if m not in cfg.models)
         cfg = replace(cfg, models=cfg.models + missing)

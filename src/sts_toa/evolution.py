@@ -2,13 +2,16 @@
 amplitude, arrival-time density assembly, and the free-particle reference
 distribution.
 
-Spatial translation multiplies each energy component by exp(+/- i theta(E))
-with theta the complex phase integral, one sum over potential levels
-(``phase_theta``) for both variants.  The closed form cuts the path at
-segment edges; the slice-based variant cuts it into equal slices and takes V
-at each slice midpoint, so theta costs one square root per distinct level
+Spatial translation from x0 to x is a product over the potential levels of
+``PiecewisePotential.levels``: U(x, x0) multiplies each energy component by
+one factor exp(i W_v sqrt(2m[E - V_v])) per level V_v, with W_v the signed
+path width at that level.  The closed form cuts the path at segment edges;
+the slice-based variant cuts it into equal slices and takes V at each slice
+midpoint, so it costs one square root and one exponential per distinct level
 whatever the slice count.  When the slices align with segment edges both
-variants sum the same widths and agree bit for bit.
+variants multiply the same factors and agree bit for bit.  The zero-level
+factor is the free flight; behind a square barrier it is the same at every
+height, so the heights of a sweep share one (read-only, cached) array.
 
 The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
@@ -18,18 +21,21 @@ underlying model; the code implements the translation exactly as written.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceWarning, ZeroArrival
-from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
+from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
+                       trapezoid_complex)
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
-from .potential import PiecewisePotential, phase_theta
+from .potential import PiecewisePotential
 
 __all__ = ["TOADistribution", "propagate_closed_form", "propagate_slices",
-           "toa_density", "free_kijowski", "check_scattering_setup", "barrier_toa"]
+           "toa_density", "free_kijowski", "check_scattering_setup",
+           "barrier_amplitude", "barrier_toa"]
 
 # |exp(x)| overflows past ~709; flag growth exponents beyond this
 _OVERFLOW_EXPONENT = 700.0
@@ -78,7 +84,7 @@ class TOADistribution:
         return float(self.tgrid.samples[int(np.argmax(self.density))])
 
 
-def _check_growth(exponents: np.ndarray):
+def _check_growth(exponents):
     worst = float(np.max(exponents, initial=0.0))
     if worst > _OVERFLOW_EXPONENT:
         raise DivergenceWarning(
@@ -87,31 +93,51 @@ def _check_growth(exponents: np.ndarray):
             "non-physical (amplitude diverges)")
 
 
-def _apply_multiplier(amps: SpectralAmplitude, theta, x: float) -> SpectralAmplitude:
-    exponent = 1j * np.asarray(theta)
-    _check_growth(exponent.real)
-    return SpectralAmplitude(amps.values * np.exp(exponent),
-                             anchor_x=x, egrid=amps.egrid, m=amps.m)
+@functools.lru_cache(maxsize=1)
+def _free_flight(egrid: EnergyGrid, m: float, width: float) -> np.ndarray:
+    """Read-only factor exp(i W sqrt(2 m E)) of a free flight over the signed
+    width W; one (grid, mass, width) is kept, so a sweep's heights share one."""
+    factor = np.exp(1j * width * np.sqrt(2.0 * m * egrid.samples))
+    factor.flags.writeable = False
+    return factor
+
+
+def _translate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
+               n_slices: int | None) -> SpectralAmplitude:
+    """amps moved to x by one factor exp(i W_v k_v) per level V_v on the path,
+    k_v = sqrt(2m[E - V_v]); DivergenceWarning if the summed growth exponent
+    sum_v -W_v Im k_v overflows."""
+    egrid = amps.egrid
+    levels, widths = pot.levels(amps.anchor_x, x, n_slices)
+    # at level zero k = sqrt(2mE) is real (E > 0): the cached free flight
+    free = levels == 0.0
+    waves = [(w, complex_sqrt_2m(egrid.samples, v, amps.m))
+             for v, w in zip(levels[~free], widths[~free])]
+    _check_growth(sum(-w * k.imag for w, k in waves))  # before an exp can overflow
+    values = amps.values
+    if free.any():
+        values = values * _free_flight(egrid, amps.m, float(widths[free][0]))
+    for w, k in waves:
+        values = values * np.exp(1j * w * k)
+    return SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=amps.m)
 
 
 def propagate_closed_form(amps: SpectralAmplitude, pot: PiecewisePotential,
                           x: float) -> SpectralAmplitude:
     """Translate the amplitude from its anchor to x in one exact step."""
-    theta = phase_theta(pot, amps.egrid.samples, amps.m, amps.anchor_x, x)
-    return _apply_multiplier(amps, theta, x)
+    return _translate(amps, pot, x, None)
 
 
 def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
                      x: float, n_slices: int) -> SpectralAmplitude:
     """Translate across n_slices equal slices, sampling V at slice midpoints.
 
-    theta is ``phase_theta`` over the slices' widths summed per potential
-    level, so the cost does not depend on the slice count.  First-order
-    accurate in the slice width for misaligned slices; bit-for-bit equal to
-    the closed form when every slice lies inside one segment.
+    The slices' widths are summed per potential level, so the cost does not
+    depend on the slice count.  First-order accurate in the slice width for
+    misaligned slices; bit-for-bit equal to the closed form when every slice
+    lies inside one segment.
     """
-    theta = phase_theta(pot, amps.egrid.samples, amps.m, amps.anchor_x, x, n_slices)
-    return _apply_multiplier(amps, theta, x)
+    return _translate(amps, pot, x, n_slices)
 
 
 def toa_density(amps: SpectralAmplitude, tgrid: TimeGrid,
@@ -163,22 +189,26 @@ def check_scattering_setup(spec: GaussianPacketSpec, length: float, x: float):
                                     "and p_i - 5 sigma_p > 0")
 
 
-def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
-                tgrid: TimeGrid, egrid: EnergyGrid | None = None,
-                method: str = "fft",
-                n_slices: int | None = None) -> TOADistribution:
-    """Space-conditional arrival-time density behind a square barrier.
-
-    Full pipeline: initial energy amplitude at x0 = 0, translation across the
-    barrier (closed form, or n_slices aligned slices when given), density at
-    the detector x > length.
-    """
+def barrier_amplitude(spec: GaussianPacketSpec, v0: float, length: float, x: float,
+                      egrid: EnergyGrid | None = None,
+                      n_slices: int | None = None) -> SpectralAmplitude:
+    """Space-conditional amplitude at the detector x > length behind a square
+    barrier: the initial amplitude at x0 = 0 translated across the barrier
+    (closed form, or n_slices equal slices when given)."""
     check_scattering_setup(spec, length, x)
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     pot = PiecewisePotential.square_barrier(v0, length)
     amps = sc_initial_amplitude(spec, egrid)
     if n_slices is None:
-        amps = propagate_closed_form(amps, pot, x)
-    else:
-        amps = propagate_slices(amps, pot, x, n_slices)
+        return propagate_closed_form(amps, pot, x)
+    return propagate_slices(amps, pot, x, n_slices)
+
+
+def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
+                tgrid: TimeGrid, egrid: EnergyGrid | None = None,
+                method: str = "fft",
+                n_slices: int | None = None) -> TOADistribution:
+    """Space-conditional arrival-time density behind a square barrier: the
+    density of ``barrier_amplitude`` at the detector x > length."""
+    amps = barrier_amplitude(spec, v0, length, x, egrid, n_slices)
     return toa_density(amps, tgrid, method=method)

@@ -4,6 +4,19 @@ The competing prediction for arrival behind a square barrier: apply the
 plane-wave transmission amplitude T(P) to the momentum wave function and feed
 the transmitted packet through the free arrival-time formula, normalizing by
 the transmission probability.
+
+Behind the barrier (x > L) the transmitted plane wave is the
+space-conditional translation times one factor:
+
+    T(P) exp(i P x) = exp(i theta(E)) R(E),
+    theta = (x - L) P + L P',
+    R = 4 P P' / [ 4 P P' - expm1(2 i P' L) (P - P')^2 ],
+
+with P' = sqrt(2m[E - V0]).  exp(i theta) is what the space-conditional
+translation applies; R sums the multiple reflections inside the barrier,
+which that translation does not source.  So the Kijowski amplitude is the
+closed-form space-conditional amplitude at the detector times R(E), and
+T(P) is R exp(-i (P - P') L).
 """
 
 from __future__ import annotations
@@ -11,40 +24,63 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMismatch
-from .evolution import TOADistribution, check_scattering_setup, toa_density
-from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
-from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
-                     sc_initial_amplitude)
+from .evolution import TOADistribution, barrier_amplitude, toa_density
+from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
+from .packet import GaussianPacketSpec, SpectralAmplitude
 
-__all__ = ["transmission_amplitude", "transmitted_kijowski", "model_distance"]
+__all__ = ["transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
+           "model_distance"]
+
+
+def _multiple_reflections(P, Pp, length: float) -> np.ndarray:
+    """R = 4 P P' / [4 P P' - expm1(2 i P' L) (P - P')^2], and its limit
+    4 P / (4 P - 2 i L P^2) where P' = 0 exactly.
+
+    Im P' >= 0 keeps |exp(2 i P' L)| <= 1, so nothing overflows, and R stays
+    of order one however opaque the barrier: the decay exp(-|P'| L) is left
+    to the factor it multiplies.
+    """
+    with np.errstate(invalid="ignore"):  # 0 / 0 at P' = 0, replaced below
+        out = np.asarray(4.0 * P * Pp
+                         / (4.0 * P * Pp - np.expm1(2j * Pp * length) * (P - Pp) ** 2))
+    turn = Pp == 0
+    if np.any(turn):
+        p = P[turn]
+        out[turn] = 4.0 * p / (4.0 * p - 2j * length * p**2)
+    return out
 
 
 def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
     """Square-barrier transmission amplitude for incident momentum P > 0.
 
-        T(P) = 4 P P' exp(-i (P - P') L)
-               / [ 4 P P' - expm1(2 i P' L) (P - P')^2 ]
+        T(P) = R(P) exp(-i (P - P') L)
 
-    with P' = sqrt(P^2 - 2 m v0) continued onto the positive imaginary axis
-    below the barrier.  Im P' >= 0 keeps |exp(2 i P' L)| <= 1, so nothing
-    overflows; deep below the barrier T decays as exp(-|P'| L) and only
-    underflows.  At P' = 0 exactly the limit
-    4 P exp(-i P L) / (4 P - 2 i L P^2) is taken.
+    with R the multiple-reflection factor of the module docstring and
+    P' = sqrt(P^2 - 2 m v0) continued onto the positive imaginary axis below
+    the barrier.  Deep below the barrier T decays as exp(-|P'| L) and only
+    underflows.
     """
     P = np.asarray(P, dtype=float)
     if np.any(P <= 0.0):
         raise ValueError("transmission amplitude defined for P > 0 only")
     Pp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
-    # the numerator's full product is formed before dividing: opaque-barrier
-    # exponentials are subnormal, and dividing one first loses its digits
-    with np.errstate(invalid="ignore"):  # 0 / 0 at P' = 0, replaced below
-        out = np.asarray(4.0 * P * Pp * np.exp(-1j * (P - Pp) * length)
-                         / (4.0 * P * Pp - np.expm1(2j * Pp * length) * (P - Pp) ** 2))
-    turn = Pp == 0
-    if np.any(turn):
-        p = P[turn]
-        out[turn] = 4.0 * p * np.exp(-1j * p * length) / (4.0 * p - 2j * length * p**2)
+    out = _multiple_reflections(P, Pp, length) * np.exp(-1j * (P - Pp) * length)
     return complex(out) if out.ndim == 0 else out
+
+
+def transmitted_amplitude(sts: SpectralAmplitude, v0: float,
+                          length: float) -> SpectralAmplitude:
+    """Transmitted-Kijowski amplitude at the detector, a0(E) T(P) exp(i P x).
+
+    ``sts`` must be the closed-form ``barrier_amplitude`` of the same packet
+    and barrier (v0 on (0, length)) at its anchor x > length; the result is
+    it times R(E).
+    """
+    E = sts.egrid.samples
+    R = _multiple_reflections(np.sqrt(2.0 * sts.m * E), complex_sqrt_2m(E, v0, sts.m),
+                              length)
+    return SpectralAmplitude(sts.values * R, anchor_x=sts.anchor_x, egrid=sts.egrid,
+                             m=sts.m)
 
 
 def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
@@ -58,14 +94,8 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
     reported arrival probability is the transmission probability
     integral |T(P) psi_momentum(P)|^2 dP.
     """
-    check_scattering_setup(spec, length, x)
-    egrid = egrid if egrid is not None else default_energy_grid(spec)
-    base = sc_initial_amplitude(spec, egrid)
-    P = np.sqrt(2.0 * spec.m * egrid.samples)
-    T = transmission_amplitude(P, v0, length, m=spec.m)
-    values = T * base.values * np.exp(1j * P * x)
-    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
-    return toa_density(amps, tgrid, method=method)
+    sts = barrier_amplitude(spec, v0, length, x, egrid)
+    return toa_density(transmitted_amplitude(sts, v0, length), tgrid, method=method)
 
 
 def model_distance(a: TOADistribution, b: TOADistribution) -> float:

@@ -4,8 +4,9 @@ The oscillatory transform
 
     f(t) = (2*pi)**-0.5 * integral dE a(E) exp(-i E t)        (hbar = 1)
 
-is evaluated on uniform grids either by direct (chunked) trapezoid
-quadrature or by Bluestein's chirp-z algorithm on ``numpy.fft``.  Both paths
+is evaluated on uniform grids either by direct trapezoid quadrature (kernel
+rows formed by recurrence in blocks, no FFT) or by Bluestein's chirp-z
+algorithm on ``numpy.fft``.  Both paths
 apply identical trapezoid end weights, so they approximate the same Riemann
 sum and agree to rounding error; the direct path is kept permanently as a
 validation oracle.  The chirp-z path keeps one plan per (energy grid, time
@@ -168,7 +169,8 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
     (FFT-based, exact same sum) padded to the smallest 2**a, 3 * 2**a or
     5 * 2**a >= n_E + n_t - 1; its plan is built once per grid pair and
     reused while consecutive calls share the pair.  method="direct"
-    accumulates the sum explicitly.
+    accumulates the sum explicitly, one kernel row at a time: an exact row
+    every 32 time rows, and the rows between stepped by exp(-i E dt).
     """
     values = np.asarray(amps, dtype=complex)
     if values.shape != (egrid.n,):
@@ -177,13 +179,19 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
 
     if method == "direct":
         weighted = values * _trapezoid_weights(egrid.n)
-        t = tgrid.samples
+        E, t = egrid.samples, tgrid.samples
         out = np.empty(tgrid.n, dtype=complex)
-        # chunked kernel rows keep the working set small on large grids
-        step = max(1, 2**22 // egrid.n)
-        for i in range(0, tgrid.n, step):
-            kern = np.exp(-1j * np.outer(t[i:i + step], egrid.samples))
-            out[i:i + step] = kern @ weighted
+        # blocks of at most 32 kernel rows and 2**22 entries: an exact row
+        # exp(-i E t_i), then each row the one before times exp(-i E dt)
+        rows = max(1, min(32, 2**22 // egrid.n))
+        kern = np.empty((rows, egrid.n), dtype=complex)
+        step = np.exp(-1j * tgrid.spacing * E)
+        for i in range(0, tgrid.n, rows):
+            block = kern[:min(rows, tgrid.n - i)]
+            block[0] = np.exp(-1j * t[i] * E)
+            for r in range(1, len(block)):
+                np.multiply(block[r - 1], step, out=block[r])
+            out[i:i + len(block)] = block @ weighted
         return out * (egrid.spacing / np.sqrt(2.0 * np.pi))
     if method == "fft":
         size, pre, kernel_fft, post = _plan(egrid, tgrid)

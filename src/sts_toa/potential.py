@@ -93,12 +93,13 @@ def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float,
                 n_slices: int | None = None):
     """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx'.
 
-    The one sum over potential levels, sum_v W_v sqrt(2m[E - V_v]), with the
+    The sum over potential levels, sum_v W_v sqrt(2m[E - V_v]), with the
     signed widths W_v of ``PiecewisePotential.levels``: exact with segment
     cuts, the midpoint rule with n_slices equal slices.  E may be an array.
     The real part is the oscillatory phase, the imaginary part the decay
     exponent accumulated in forbidden regions (nonnegative for x > x0).
-    Reversing x0 and x flips the sign.
+    Reversing x0 and x flips the sign.  The propagators of ``evolution``
+    apply exp(i theta) as one factor per term of this sum.
     """
     theta = 0j
     for v, w in zip(*pot.levels(x0, x, n_slices)):

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import TOADistribution, barrier_toa, check_scattering_setup, free_kijowski
-from .kijowski import model_distance, transmitted_kijowski
+from .evolution import (TOADistribution, barrier_amplitude, check_scattering_setup,
+                        free_kijowski, toa_density)
+from .kijowski import model_distance, transmitted_amplitude
 from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
@@ -100,8 +101,24 @@ def _require(dct, key, typ, field_name, at_most=None):
     return val
 
 
-def _check_models_and_heights(models, v0_list):
-    """The per-field checks of the two fields a CLI subcommand may force."""
+def _heights(val) -> tuple[float, ...]:
+    """``barrier.v0``, one number or a list of them, as finite floats."""
+    return tuple(_finite_float(v, "barrier.v0")
+                 for v in (val if isinstance(val, (list, tuple)) else [val]))
+
+
+def _model_names(val) -> tuple[str, ...]:
+    if not isinstance(val, (list, tuple)) or not all(isinstance(mn, str) for mn in val):
+        raise ConfigError("models", "expected a list of model names")
+    return tuple(val)
+
+
+# the fields a CLI subcommand or flag may force, and how from_dict reads each
+_FORCIBLE = {"models": _model_names, "v0_list": _heights, "method": str}
+
+
+def _check_forcible(models, v0_list, method):
+    """The per-field checks of the fields a CLI subcommand or flag may force."""
     if not models:
         raise ConfigError("models", "at least one model is required")
     for name in models:
@@ -109,6 +126,11 @@ def _check_models_and_heights(models, v0_list):
             raise ConfigError("models", f"unknown model {name!r}; choose from {MODEL_NAMES}")
     if not v0_list:
         raise ConfigError("barrier.v0", "at least one barrier height is required")
+    match = _METHOD_RE.match(method)
+    if not match:
+        raise ConfigError("method", "must be 'closed' or 'slices:<n>'")
+    if match.group(2) is not None and not 1 <= int(match.group(2)) <= _MAX_SLICES:
+        raise ConfigError("method", f"slice count must be in [1, {_MAX_SLICES}]")
 
 
 def _build(field_name, make):
@@ -136,12 +158,8 @@ class ScenarioConfig:
     method: str = "closed"
 
     def __post_init__(self):
-        _check_models_and_heights(self.models, self.v0_list)
+        _check_forcible(self.models, self.v0_list, self.method)
         object.__setattr__(self, "v0_list", tuple(sorted(set(self.v0_list))))  # sweep order
-        if not _METHOD_RE.match(self.method):
-            raise ConfigError("method", "must be 'closed' or 'slices:<n>'")
-        if self.n_slices is not None and not 1 <= self.n_slices <= _MAX_SLICES:
-            raise ConfigError("method", f"slice count must be in [1, {_MAX_SLICES}]")
         if not self.barrier_length > 0:
             raise ConfigError("barrier.length", "must be > 0")
         if set(COMPARED_PAIR) & set(self.models):
@@ -207,9 +225,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, forced: dict | None = None) -> "ScenarioConfig":
-        """The config ``raw`` describes; ``forced`` maps ``models`` or ``v0_list``
-        to values that replace the config's own once those pass their
-        per-field checks, so the cross-field checks see the forced values."""
+        """The config ``raw`` describes; ``forced`` maps ``models``, ``v0_list``
+        or ``method`` to values that replace the config's own once those pass
+        their per-field checks, so the cross-field checks see the forced values."""
         raw = dict(raw)
         preset_name = raw.pop("preset", None)
         if preset_name is not None:
@@ -235,9 +253,7 @@ class ScenarioConfig:
             m=_require(pk, "m", float, "packet.m") if "m" in pk else 1.0))
 
         br = _require(raw, "barrier", dict, "barrier")
-        v0_raw = br.get("v0", 0.0)
-        v0_list = tuple(_finite_float(v, "barrier.v0")
-                        for v in (v0_raw if isinstance(v0_raw, list) else [v0_raw]))
+        v0_list = _heights(br.get("v0", 0.0))
         length = _require(br, "length", float, "barrier.length")
 
         tg = _require(raw, "tgrid", dict, "tgrid")
@@ -254,16 +270,15 @@ class ScenarioConfig:
                 e_max=_require(eg, "e_max", float, "egrid.e_max"),
                 n=_require(eg, "n", int, "egrid.n", _MAX_GRID_POINTS)))
 
-        models = raw.get("models", list(FIG2_PRESET["models"]))
-        if not isinstance(models, list) or not all(isinstance(mn, str) for mn in models):
-            raise ConfigError("models", "expected a list of model names")
-        _check_models_and_heights(models, v0_list)  # the config's own, even if forced
+        models = _model_names(raw.get("models", FIG2_PRESET["models"]))
+        method = str(raw.get("method", "closed"))
+        _check_forcible(models, v0_list, method)  # the config's own, even if forced
 
         fields = dict(packet=packet, v0_list=v0_list, barrier_length=length,
                       detector_x=_require(raw, "detector_x", float, "detector_x"),
-                      tgrid=tgrid, egrid=egrid, models=tuple(models),
-                      method=str(raw.get("method", "closed")))
-        return cls(**{**fields, **(forced or {})})
+                      tgrid=tgrid, egrid=egrid, models=models, method=method)
+        fields.update((key, _FORCIBLE[key](val)) for key, val in (forced or {}).items())
+        return cls(**fields)
 
 
 @dataclass
@@ -325,14 +340,16 @@ def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
 def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
                     free_dist: TOADistribution | None) -> SweepPoint:
     dists: dict[str, TOADistribution] = {}
+    setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x, egrid)
+    sts = None
     if "sts" in cfg.models:
-        dists["sts"] = barrier_toa(cfg.packet, v0, cfg.barrier_length,
-                                   cfg.detector_x, cfg.tgrid, egrid=egrid,
-                                   n_slices=cfg.n_slices)
+        sts = barrier_amplitude(*setup, n_slices=cfg.n_slices)
+        dists["sts"] = toa_density(sts, cfg.tgrid)
     if "kijowski_transmitted" in cfg.models:
-        dists["kijowski_transmitted"] = transmitted_kijowski(
-            cfg.packet, v0, cfg.barrier_length, cfg.detector_x, cfg.tgrid,
-            egrid=egrid)
+        # the Kijowski amplitude is the closed-form sts amplitude times R(E)
+        closed = sts if sts is not None and cfg.n_slices is None else barrier_amplitude(*setup)
+        dists["kijowski_transmitted"] = toa_density(
+            transmitted_amplitude(closed, v0, cfg.barrier_length), cfg.tgrid)
     if free_dist is not None:
         dists["kijowski_free"] = free_dist
     flux = _flux_oracle_series(cfg, v0) if "flux_oracle" in cfg.models else None

@@ -336,6 +336,19 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2 and out == "" and "config error: models:" in err
 
+    # a flag's value replaces the config's own only after that passes its checks
+    @pytest.mark.parametrize("command, cfg, flag, field", [
+        ("sweep", {"preset": "fig2", "barrier": {"v0": ["x"]}}, ["--v0", "1.8"], "barrier.v0"),
+        ("compare", {"preset": "fig2", "models": ["nope"]}, ["--models", "sts"], "models"),
+        ("sweep", {"preset": "fig2", "method": "open"}, ["--method", "closed"], "method")],
+        ids=["--v0", "--models", "--method"])
+    def test_flags_check_the_config_value(self, capsys, tmp_path, command, cfg, flag, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path), *flag)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {field}:") and err.count("\n") == 1
+
     def test_free_toa_ignores_the_scattering_setup(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "fig2", "packet": {"x_i": 5.0}}))

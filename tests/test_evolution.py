@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import DivergenceWarning, ZeroArrival
-from sts_toa.evolution import (barrier_toa, free_kijowski,
+from sts_toa.evolution import (_free_flight, barrier_toa, free_kijowski,
                                propagate_closed_form, propagate_slices,
                                toa_density)
 from sts_toa.numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
@@ -97,6 +97,14 @@ class TestPropagation:
             b = propagate_slices(there, pot, -10.0, 60)
             assert b.anchor_x == -10.0
             assert np.array_equal(a.values, b.values), pot
+
+    def test_free_flight_is_cached_read_only(self, amps):
+        propagate_closed_form(amps, BARRIER, 50.0)  # a free flight over x - L = 40
+        hits = _free_flight.cache_info().hits
+        flight = _free_flight(amps.egrid, 1.0, 40.0)
+        assert _free_flight.cache_info().hits == hits + 1
+        with pytest.raises(ValueError):
+            flight[0] = 0.0
 
     def test_round_trip_in_allowed_region(self, amps):
         out = propagate_closed_form(amps, PiecewisePotential.free(), 40.0)

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sts_toa.errors import ConfigError, GridMismatch
-from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski
+from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski, toa_density
 from sts_toa.kijowski import (model_distance, transmission_amplitude,
                               transmitted_kijowski)
 from sts_toa.numerics import TimeGrid
 from sts_toa.oracle import transfer_matrix_T
-from sts_toa.packet import GaussianPacketSpec
+from sts_toa.packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
+from sts_toa.scenario import ScenarioConfig, run_scenario
 
 P_GRID = np.linspace(0.501, 4.001, 512)
 
@@ -102,6 +103,49 @@ class TestTransmittedDistribution:
         with pytest.raises(ConfigError) as exc:
             pipeline(spec, 4.5, 10.0, x, tgrid)
         assert exc.value.field == field
+
+
+# 1.125 is the default grid's e_min, so P' = 0 at its first energy
+IDENTITY_HEIGHTS = (0.0, 1.125, 1.8, 4.5, 6.0)
+
+
+class TestAmplitudeIdentity:
+    """The transmitted-Kijowski amplitude, built as the closed-form sts
+    amplitude times R(E), against a0 T(P) exp(i P x) with the T(P) that
+    TestTransmissionAmplitude checks against the transfer matrix."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, spec, egrid, tgrid):
+        a0 = sc_initial_amplitude(spec, egrid)
+        P = np.sqrt(2.0 * spec.m * egrid.samples)
+        out = {}
+        for v0 in IDENTITY_HEIGHTS:
+            values = a0.values * transmission_amplitude(P, v0, 10.0) * np.exp(1j * P * 50.0)
+            amps = SpectralAmplitude(values, anchor_x=50.0, egrid=egrid, m=spec.m)
+            out[v0] = toa_density(amps, tgrid)
+        return out
+
+    @staticmethod
+    def _assert_matches(dist, ref):
+        assert np.max(np.abs(dist.density - ref.density)) < 1e-14
+        assert dist.arrival_probability == pytest.approx(ref.arrival_probability, abs=1e-14)
+
+    def test_turning_point_on_the_grid(self, egrid):
+        assert egrid.e_min == 1.125
+
+    @pytest.mark.parametrize("v0", IDENTITY_HEIGHTS)
+    def test_transmitted_kijowski(self, spec, tgrid, reference, v0):
+        self._assert_matches(transmitted_kijowski(spec, v0, 10.0, 50.0, tgrid),
+                             reference[v0])
+
+    # under slices:48 the sts amplitude is not the closed form, so the
+    # Kijowski amplitude cannot reuse it
+    @pytest.mark.parametrize("method", ["closed", "slices:48"])
+    def test_sweep_point(self, reference, method):
+        cfg = ScenarioConfig.from_dict({"preset": "fig2", "method": method,
+                                        "barrier": {"v0": list(IDENTITY_HEIGHTS)}})
+        for pt in run_scenario(cfg).points:
+            self._assert_matches(pt.distributions["kijowski_transmitted"], reference[pt.v0])
 
 
 class TestModelDistance:

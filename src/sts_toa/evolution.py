@@ -4,14 +4,22 @@ distribution.
 
 Spatial translation from x0 to x is a product over the potential levels of
 ``PiecewisePotential.levels``: U(x, x0) multiplies each energy component by
-one factor exp(i W_v sqrt(2m[E - V_v])) per level V_v, with W_v the signed
-path width at that level.  The closed form cuts the path at segment edges;
-the slice-based variant cuts it into equal slices and takes V at each slice
-midpoint, so it costs one square root and one exponential per distinct level
-whatever the slice count.  When the slices align with segment edges both
-variants multiply the same factors and agree bit for bit.  The zero-level
-factor is the free flight; behind a square barrier it is the same at every
-height, so the heights of a sweep share one (read-only, cached) array.
+one factor exp(i W_v k_v) per level V_v, with k_v = sqrt(2m[E - V_v]) and W_v
+the signed path width at that level.  The closed form cuts the path at segment
+edges; the slice-based variant cuts it into equal slices and takes V at each
+slice midpoint, so it costs one factor per distinct level whatever the slice
+count.  When the slices align with segment edges both variants multiply the
+same factors and agree bit for bit.  The zero-level factor is the free flight;
+behind a square barrier it is the same at every height, so the heights of a
+sweep share one (read-only, cached) array.
+
+Every factor is formed in real arithmetic.  The ascending energy grid splits
+at each level: E >= V_v from index searchsorted(E, V_v) on, E < V_v before
+it.  With kappa_v = sqrt(2m|E - V_v|) a real square root, k_v = kappa_v above
+the split, where the factor is the phase cos(W_v kappa_v) + i sin(W_v kappa_v),
+and k_v = i kappa_v below it, where the factor is the decay exp(-W_v kappa_v).
+The growth exponents -W_v kappa_v below the splits are summed and checked
+before any exponential is formed.
 
 The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
@@ -27,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceWarning, ZeroArrival
-from .numerics import (EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t,
-                       trapezoid_complex)
+from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
 from .potential import PiecewisePotential
@@ -93,32 +100,56 @@ def _check_growth(exponents):
             "non-physical (amplitude diverges)")
 
 
+def _level_factors(E: np.ndarray, m: float, levels, widths) -> list[np.ndarray]:
+    """One factor exp(i W_v k_v) per level V_v, k_v = sqrt(2m[E - V_v]), on
+    the ascending grid E, in real arithmetic; DivergenceWarning if the summed
+    growth exponent sum_v -W_v Im k_v overflows, before any exponential."""
+    exponents = []
+    growth = np.zeros(E.shape)
+    for v, w in zip(levels, widths):
+        split = int(np.searchsorted(E, v))  # E[:split] < v <= E[split:]
+        wk = np.subtract(E, v)
+        np.abs(wk, out=wk)
+        wk *= 2.0 * m
+        np.sqrt(wk, out=wk)
+        wk *= w  # W kappa, kappa = |k| = sqrt(2m |E - V|)
+        growth[:split] -= wk[:split]
+        exponents.append((split, wk))
+    _check_growth(growth)
+    factors = []
+    for split, wk in exponents:
+        factor = np.empty(E.shape, dtype=complex)
+        re, im = factor.real, factor.imag
+        np.cos(wk[split:], out=re[split:])  # k = kappa: a phase
+        np.sin(wk[split:], out=im[split:])
+        np.exp(np.negative(wk[:split], out=wk[:split]), out=re[:split])  # k = i kappa
+        im[:split] = 0.0
+        factors.append(factor)
+    return factors
+
+
 @functools.lru_cache(maxsize=1)
 def _free_flight(egrid: EnergyGrid, m: float, width: float) -> np.ndarray:
-    """Read-only factor exp(i W sqrt(2 m E)) of a free flight over the signed
-    width W; one (grid, mass, width) is kept, so a sweep's heights share one."""
-    factor = np.exp(1j * width * np.sqrt(2.0 * m * egrid.samples))
+    """Read-only level-zero factor exp(i W sqrt(2 m E)) of a free flight over
+    the signed width W; one (grid, mass, width) is kept, so a sweep's heights
+    share one."""
+    (factor,) = _level_factors(egrid.samples, m, [0.0], [width])
     factor.flags.writeable = False
     return factor
 
 
 def _translate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
                n_slices: int | None) -> SpectralAmplitude:
-    """amps moved to x by one factor exp(i W_v k_v) per level V_v on the path,
-    k_v = sqrt(2m[E - V_v]); DivergenceWarning if the summed growth exponent
-    sum_v -W_v Im k_v overflows."""
+    """amps moved to x by one factor exp(i W_v k_v) per level V_v on the path."""
     egrid = amps.egrid
     levels, widths = pot.levels(amps.anchor_x, x, n_slices)
-    # at level zero k = sqrt(2mE) is real (E > 0): the cached free flight
-    free = levels == 0.0
-    waves = [(w, complex_sqrt_2m(egrid.samples, v, amps.m))
-             for v, w in zip(levels[~free], widths[~free])]
-    _check_growth(sum(-w * k.imag for w, k in waves))  # before an exp can overflow
-    values = amps.values
+    free = levels == 0.0  # the cached free flight
+    factors = _level_factors(egrid.samples, amps.m, levels[~free], widths[~free])
     if free.any():
-        values = values * _free_flight(egrid, amps.m, float(widths[free][0]))
-    for w, k in waves:
-        values = values * np.exp(1j * w * k)
+        factors.insert(0, _free_flight(egrid, amps.m, float(widths[free][0])))
+    values = amps.values.copy()
+    for factor in factors:
+        values *= factor
     return SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=amps.m)
 
 

@@ -17,6 +17,15 @@ translation applies; R sums the multiple reflections inside the barrier,
 which that translation does not source.  So the Kijowski amplitude is the
 closed-form space-conditional amplitude at the detector times R(E), and
 T(P) is R exp(-i (P - P') L).
+
+R is formed from real pieces, split at E = V0 as the translation's factors
+are.  Above the barrier P' is real and expm1(2 i P' L) = -2 s^2 + 2 i s c,
+with s = sin(P' L) and c = cos(P' L); below it P' = i kappa and
+expm1(2 i P' L) = expm1(-2 kappa L) is real.  The numerator and the
+denominator D are assembled from these, and R is one complex division,
+which NumPy scales by the larger part of D.  Dividing by |D|^2 instead
+would fail at tiny energies: near E = 4e-179 without a barrier, D ~ 4 P^2 ~
+3e-178, so |D|^2 underflows to 0 and R would be 0 / 0 rather than 1.
 """
 
 from __future__ import annotations
@@ -25,29 +34,65 @@ import numpy as np
 
 from .errors import GridMismatch
 from .evolution import TOADistribution, barrier_amplitude, toa_density
-from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
+from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
 from .packet import GaussianPacketSpec, SpectralAmplitude
 
 __all__ = ["transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
            "model_distance"]
 
 
-def _multiple_reflections(P, Pp, length: float) -> np.ndarray:
+def _multiple_reflections(P, kappa, split: int, length: float) -> np.ndarray:
     """R = 4 P P' / [4 P P' - expm1(2 i P' L) (P - P')^2], and its limit
     4 P / (4 P - 2 i L P^2) where P' = 0 exactly.
 
-    Im P' >= 0 keeps |exp(2 i P' L)| <= 1, so nothing overflows, and R stays
-    of order one however opaque the barrier: the decay exp(-|P'| L) is left
-    to the factor it multiplies.
+    P ascends; P' = i kappa before index ``split`` (E < V0) and P' = kappa
+    from it on.  Im P' >= 0 keeps |exp(2 i P' L)| <= 1, so nothing
+    overflows, and R stays of order one however opaque the barrier: the
+    decay exp(-|P'| L) is left to the factor it multiplies.
     """
-    with np.errstate(invalid="ignore"):  # 0 / 0 at P' = 0, replaced below
-        out = np.asarray(4.0 * P * Pp
-                         / (4.0 * P * Pp - np.expm1(2j * Pp * length) * (P - Pp) ** 2))
-    turn = Pp == 0
-    if np.any(turn):
+    num = np.empty(P.shape, dtype=complex)
+    den = np.empty(P.shape, dtype=complex)
+    kl = np.multiply(kappa, length)
+    pk = np.multiply(P, kappa)
+    d = np.subtract(P, kappa)
+    # above: P' = kappa and expm1(2 i P' L) = -2 s^2 + 2 i s c,
+    # with s = sin(P' L) and c = cos(P' L)
+    a = slice(split, None)
+    c, s, t = den.imag[a], kl[a], d[a]  # views, filled in place
+    np.cos(s, out=c)
+    np.sin(s, out=s)
+    t *= t
+    t *= s
+    t *= 2.0  # 2 s (P - P')^2
+    np.multiply(pk[a], 4.0, out=num.real[a])
+    num.imag[a] = 0.0
+    np.multiply(s, t, out=den.real[a])
+    den.real[a] += num.real[a]
+    c *= t
+    np.negative(c, out=c)
+    # below: P' = i kappa and expm1(2 i P' L) = expm1(-2 kappa L) = e, in (-1, 0]
+    b = slice(None, split)
+    e = kl[b]
+    e *= -2.0
+    np.expm1(e, out=e)
+    num.real[b] = 0.0
+    np.multiply(pk[b], 4.0, out=num.imag[b])
+    re = den.real[b]
+    np.add(P[b], kappa[b], out=re)
+    re *= d[b]
+    re *= e
+    np.negative(re, out=re)  # -e (P^2 - kappa^2)
+    im = den.imag[b]
+    np.add(e, 2.0, out=im)
+    im *= pk[b]
+    im *= 2.0  # 2 P kappa (2 + e)
+    turn = kappa == 0
+    if turn.any():
         p = P[turn]
-        out[turn] = 4.0 * p / (4.0 * p - 2j * length * p**2)
-    return out
+        num[turn] = 4.0 * p
+        den[turn] = 4.0 * p - 2j * length * p**2
+    num /= den
+    return num
 
 
 def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
@@ -63,9 +108,17 @@ def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
     P = np.asarray(P, dtype=float)
     if np.any(P <= 0.0):
         raise ValueError("transmission amplitude defined for P > 0 only")
-    Pp = np.sqrt((P**2 - 2.0 * m * v0).astype(complex))
-    out = _multiple_reflections(P, Pp, length) * np.exp(-1j * (P - Pp) * length)
-    return complex(out) if out.ndim == 0 else out
+    order = np.argsort(P, axis=None)
+    p = P.reshape(-1)[order]
+    q = p**2 - 2.0 * m * v0  # P'^2, ascending
+    split = int(np.searchsorted(q, 0.0))
+    kappa = np.sqrt(np.abs(q))
+    Pp = kappa.astype(complex)
+    Pp[:split] *= 1j
+    T = _multiple_reflections(p, kappa, split, length) * np.exp(-1j * (p - Pp) * length)
+    out = np.empty_like(T)
+    out[order] = T
+    return complex(out[0]) if P.ndim == 0 else out.reshape(P.shape)
 
 
 def transmitted_amplitude(sts: SpectralAmplitude, v0: float,
@@ -77,10 +130,15 @@ def transmitted_amplitude(sts: SpectralAmplitude, v0: float,
     it times R(E).
     """
     E = sts.egrid.samples
-    R = _multiple_reflections(np.sqrt(2.0 * sts.m * E), complex_sqrt_2m(E, v0, sts.m),
-                              length)
-    return SpectralAmplitude(sts.values * R, anchor_x=sts.anchor_x, egrid=sts.egrid,
-                             m=sts.m)
+    kappa = np.subtract(E, v0)
+    np.abs(kappa, out=kappa)
+    kappa *= 2.0 * sts.m
+    np.sqrt(kappa, out=kappa)
+    P = np.multiply(E, 2.0 * sts.m)
+    np.sqrt(P, out=P)
+    R = _multiple_reflections(P, kappa, int(np.searchsorted(E, v0)), length)
+    R *= sts.values
+    return SpectralAmplitude(R, anchor_x=sts.anchor_x, egrid=sts.egrid, m=sts.m)
 
 
 def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,

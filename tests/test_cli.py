@@ -17,6 +17,11 @@ def run_cli(capsys, *argv):
 TGRID_OVERFLOWS = {"preset": "fig2", "tgrid": {"t_min": -1e308, "t_max": 1e308, "n": 8}}
 EGRID_OVERFLOWS = {"preset": "fig2",
                    "egrid": {"e_min": 1e-30, "e_max": 1.7976931348623157e308, "n": 19}}
+# at E ~ 4e-179 the Kijowski factor's denominator D ~ 4 P^2 ~ 3e-178 has a
+# |D|^2 that underflows to 0; the model is named alone because the sts density
+# would stop the run first (GridTooCoarse)
+TINY_ENERGY_KIJOWSKI = {"preset": "fig2", "models": ["kijowski_transmitted"],
+                        "egrid": {"e_min": 4.0419150837383496e-179, "e_max": 1, "n": 2}}
 
 
 class TestExitCodes:
@@ -243,6 +248,7 @@ class TestExitCodeContract:
     @given(cfg=_CONFIGS)
     @example(cfg=TGRID_OVERFLOWS)
     @example(cfg=EGRID_OVERFLOWS)
+    @example(cfg=TINY_ENERGY_KIJOWSKI)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_exits_0_2_or_3(self, capsys, tmp_path, cfg):
         path = tmp_path / "cfg.json"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import DivergenceWarning, ZeroArrival
-from sts_toa.evolution import (_free_flight, barrier_toa, free_kijowski,
-                               propagate_closed_form, propagate_slices,
-                               toa_density)
+from sts_toa.evolution import (_free_flight, _level_factors, barrier_toa,
+                               free_kijowski, propagate_closed_form,
+                               propagate_slices, toa_density)
 from sts_toa.numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
 from sts_toa.packet import SpectralAmplitude, sc_initial_amplitude
 from sts_toa.potential import PiecewisePotential
@@ -105,6 +105,21 @@ class TestPropagation:
         assert _free_flight.cache_info().hits == hits + 1
         with pytest.raises(ValueError):
             flight[0] = 0.0
+
+    @pytest.mark.parametrize("level, width, m", [
+        (0.5, 10.0, 1.0),      # below every energy: a phase throughout
+        (6.0, 10.0, 1.0),      # above every energy: a decay throughout
+        (2.0, 10.0, 1.7),      # straddles the grid
+        ("node", 10.0, 1.0),   # on a grid node, where k = 0
+        (2.0, -10.0, 1.0),     # backward, growth exponent ~13
+        (0.0, 40.0, 1.0),      # a free flight
+    ])
+    def test_level_factor_matches_complex_form(self, egrid, level, width, m):
+        E = egrid.samples
+        v = float(E[1000]) if level == "node" else level
+        expect = np.exp(1j * width * complex_sqrt_2m(E, v, m))
+        (factor,) = _level_factors(E, m, [v], [width])
+        assert np.max(np.abs(factor - expect) / np.abs(expect)) < 4e-16
 
     def test_round_trip_in_allowed_region(self, amps):
         out = propagate_closed_form(amps, PiecewisePotential.free(), 40.0)

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from sts_toa.errors import ConfigError, GridMismatch
 from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski, toa_density
 from sts_toa.kijowski import (model_distance, transmission_amplitude,
-                              transmitted_kijowski)
-from sts_toa.numerics import TimeGrid
+                              transmitted_amplitude, transmitted_kijowski)
+from sts_toa.numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
 from sts_toa.oracle import transfer_matrix_T
 from sts_toa.packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
 from sts_toa.scenario import ScenarioConfig, run_scenario
@@ -71,6 +71,59 @@ class TestTransmissionAmplitude:
         T_tm, R_tm = transfer_matrix_T(p, v0, length)
         assert abs(T - T_tm) < 1e-9
         assert abs(abs(T_tm) ** 2 + abs(R_tm) ** 2 - 1.0) < 1e-12
+
+
+def expm1_reflections(P, Pp, length):
+    """R = 4 P P' / [4 P P' - expm1(2 i P' L) (P - P')^2] in complex
+    arithmetic, with its limit 4 P / (4 P - 2 i L P^2) at P' = 0."""
+    P, Pp = np.broadcast_arrays(np.asarray(P, dtype=float), np.asarray(Pp, dtype=complex))
+    turn = Pp == 0
+    with np.errstate(invalid="ignore"):
+        R = 4.0 * P * Pp / (4.0 * P * Pp - np.expm1(2j * Pp * length) * (P - Pp) ** 2)
+    return np.where(turn, 4.0 * P / (4.0 * P - 2j * length * P**2), R)
+
+
+class TestRealArithmetic:
+    """R(E) and T(P) from real pieces against the complex expm1 form."""
+
+    @staticmethod
+    def _assert_close(got, expect):
+        assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-14
+
+    @pytest.mark.parametrize("v0, length", [(1.125, 10.0), (1.8, 10.0), (4.5, 10.0),
+                                            (2000.0, 11.5)])  # kappa L ~ 730 at 2000
+    def test_factor_on_the_energy_grid(self, egrid, v0, length):
+        # unit amplitudes, so the transmitted amplitude is R itself;
+        # at 1.125 the grid's first node has P' = 0 exactly
+        E = egrid.samples
+        sts = SpectralAmplitude(np.ones(egrid.n), anchor_x=50.0, egrid=egrid)
+        R = transmitted_amplitude(sts, v0, length).values
+        expect = expm1_reflections(np.sqrt(2.0 * E), complex_sqrt_2m(E, v0, 1.0), length)
+        self._assert_close(R, expect)
+
+    def test_amplitude_for_unsorted_momenta(self):
+        # both sides of P = 2, with the turning point P^2 = 2 m v0 among them
+        rng = np.random.default_rng(20)
+        P = rng.permutation(np.append(np.linspace(0.3, 4.0, 257), 2.0))
+        Pp = np.sqrt((P**2 - 4.0).astype(complex))
+        expect = expm1_reflections(P, Pp, 7.0) * np.exp(-1j * (P - Pp) * 7.0)
+        self._assert_close(transmission_amplitude(P, 2.0, 7.0), expect)
+        T = transmission_amplitude(P.reshape(2, -1), 2.0, 7.0)
+        self._assert_close(T, expect.reshape(2, -1))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_scalar_momentum_gives_a_complex(self, p):
+        T = transmission_amplitude(p, 2.0, 7.0)
+        assert type(T) is complex
+        Pp = complex_sqrt_2m(p**2 / 2.0, 2.0, 1.0)
+        self._assert_close(T, expm1_reflections(p, Pp, 7.0) * np.exp(-1j * (p - Pp) * 7.0))
+
+    def test_no_barrier_is_exactly_transparent_at_tiny_energy(self):
+        # D ~ 4 P^2 ~ 3e-178, so D D* underflows to 0; num / den does not
+        egrid = EnergyGrid(4.04e-179, 1.0, 2)
+        sts = SpectralAmplitude(np.ones(2), anchor_x=20.0, egrid=egrid)
+        assert np.array_equal(transmitted_amplitude(sts, 0.0, 10.0).values, [1.0, 1.0])
+        assert transmission_amplitude(np.sqrt(2.0 * 4.04e-179), 0.0, 10.0) == 1.0
 
 
 class TestTransmittedDistribution:

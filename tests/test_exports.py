@@ -1,7 +1,8 @@
 """Every library module's ``__all__`` lists the public functions and classes
 the module defines, and every name in it resolves; no module imports another's
-private name; importing the package loads no SciPy module, and the fig2 sweep
-does not load the grid solver."""
+private name, and the grid solver does not use the unit-phase helper it
+checks; importing the package loads no SciPy module, importing the CLI no
+``concurrent.futures``, and the fig2 sweep does not load the grid solver."""
 
 import ast
 import importlib
@@ -42,6 +43,17 @@ def test_no_module_imports_a_private_name():
     assert not private, private
 
 
+def test_oracle_does_not_use_the_unit_phase_helper():
+    # the grid solver and the transfer matrix check the amplitudes that
+    # numerics.unit_phase forms, so they must not be built from it
+    tree = ast.parse((Path(sts_toa.__file__).parent / "oracle.py").read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.alias) and node.name.split(".")[-1] == "unit_phase")
+            or (isinstance(node, ast.Name) and node.id == "unit_phase")
+            or (isinstance(node, ast.Attribute) and node.attr == "unit_phase")]
+    assert not uses, f"oracle.py uses unit_phase on lines {uses}"
+
+
 def _run_python(script: str) -> str:
     # a fresh interpreter that imports the package under test first
     src = str(Path(sts_toa.__file__).resolve().parents[1])
@@ -54,6 +66,13 @@ def test_import_loads_no_scipy():
     out = _run_python(
         "import sys, sts_toa; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    out = _run_python(
+        "import sys, sts_toa.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     assert out.strip() == "[]"
 
 

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sts_toa.errors import GridTooCoarse
 from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _plan,
-                              complex_sqrt_2m, fourier_E_to_t, trapezoid_complex)
+                              complex_sqrt_2m, fourier_E_to_t, trapezoid_complex,
+                              unit_phase)
 
 
 class TestGrids:
@@ -53,6 +56,45 @@ class TestComplexSqrt:
             assert np.imag(val) == 0.0 and np.real(val) >= 0.0
         else:
             assert np.real(val) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestUnitPhase:
+    @pytest.mark.parametrize("log2_mag", range(0, 53, 4))
+    def test_matches_cos_plus_i_sin(self, log2_mag):
+        mag = 2.0**log2_mag
+        x = np.random.default_rng(log2_mag).uniform(-mag, mag, 4096)
+        err = np.abs(unit_phase(x) - (np.cos(x) + 1j * np.sin(x)))
+        assert err.max() <= 4.5e-16
+
+    def test_zero_is_exactly_one(self):
+        assert unit_phase(0.0) == 1.0
+        assert np.all(unit_phase(np.zeros(3)) == 1.0)
+
+    def test_negated_phase_is_the_conjugate(self):
+        x = np.random.default_rng(1).uniform(-50.0, 50.0, 1000)
+        assert np.array_equal(unit_phase(-x), np.conj(unit_phase(x)))
+
+    def test_scalar_gives_python_complex(self):
+        z = unit_phase(1.0)
+        assert type(z) is complex
+        assert z == unit_phase(np.array([1.0]))[0]
+        assert type(unit_phase(np.float64(2.0))) is complex
+
+    def test_fills_a_slice_of_a_larger_array(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        buf = np.full(11, 5.0 + 5.0j)
+        got = unit_phase(x, out=buf[2:9])
+        assert got is not None and np.shares_memory(got, buf)
+        assert np.array_equal(buf[2:9], unit_phase(x))
+        assert np.all(buf[:2] == 5.0 + 5.0j) and np.all(buf[9:] == 5.0 + 5.0j)
+
+    def test_no_warning_at_odd_multiples_of_pi(self):
+        # the doubles nearest (2k + 1) pi put tan(phase / 2) near its poles
+        x = np.pi * (2.0 * np.arange(-2000, 2000) + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = unit_phase(x)
+        assert np.abs(z - (np.cos(x) + 1j * np.sin(x))).max() <= 4.5e-16
 
 
 class TestTrapezoid:

@@ -15,10 +15,10 @@ from .evolution import (TOADistribution, barrier_amplitude, barrier_toa, free_ki
                         propagate_closed_form, propagate_slices, toa_density)
 from .kijowski import (model_distance, transmission_amplitude, transmitted_amplitude,
                        transmitted_kijowski)
-from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, fourier_E_to_t
+from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      psi_momentum, psi_position, sc_initial_amplitude)
-from .potential import PiecewisePotential, phase_theta
+from .potential import PiecewisePotential
 from .scenario import (ScenarioConfig, ScenarioResult, SweepPoint, emit_csv,
                        emit_svg, run_scenario)
 
@@ -29,9 +29,9 @@ __all__ = [
     "GridMismatch", "GridTooCoarse", "PiecewisePotential", "ScenarioConfig",
     "ScenarioResult", "SpectralAmplitude", "SweepPoint", "TOADistribution",
     "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_amplitude", "barrier_toa",
-    "complex_sqrt_2m", "default_energy_grid", "emit_csv", "emit_svg",
-    "fourier_E_to_t", "free_kijowski", "model_distance", "phase_theta",
-    "propagate_closed_form", "propagate_slices", "psi_momentum",
-    "psi_position", "run_scenario", "sc_initial_amplitude", "toa_density",
-    "transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
+    "default_energy_grid", "emit_csv", "emit_svg", "fourier_E_to_t",
+    "free_kijowski", "model_distance", "propagate_closed_form", "propagate_slices",
+    "psi_momentum", "psi_position", "run_scenario", "sc_initial_amplitude",
+    "toa_density", "transmission_amplitude", "transmitted_amplitude",
+    "transmitted_kijowski",
 ]

@@ -121,7 +121,6 @@ def _cmd_scenario(args) -> int:
 def _cmd_oracle(args) -> int:
     from .evolution import barrier_amplitude
     from .kijowski import transmitted_amplitude
-    from .numerics import trapezoid_complex
     from .oracle import barrier_transmission_norm
 
     if not 0.0 < args.time_factor < float("inf"):
@@ -131,10 +130,7 @@ def _cmd_oracle(args) -> int:
     for v0 in cfg.v0_list:
         sts = barrier_amplitude(cfg.packet, v0, cfg.barrier_length, cfg.detector_x,
                                 cfg.energy_grid())
-        amps = transmitted_amplitude(sts, v0, cfg.barrier_length)
-        # the transmitted Kijowski arrival probability as toa_density reads it,
-        # with no time transform
-        arrival = float(trapezoid_complex(np.abs(amps.values) ** 2, amps.egrid.spacing).real)
+        arrival = transmitted_amplitude(sts, v0, cfg.barrier_length).arrival_probability()
         try:
             solver = barrier_transmission_norm(cfg.packet, v0, cfg.barrier_length,
                                                time_factor=args.time_factor)

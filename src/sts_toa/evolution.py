@@ -177,15 +177,14 @@ def toa_density(amps: SpectralAmplitude, tgrid: TimeGrid,
 
     density(t) = |F[amp](t)|^2, with F the energy->time transform, scaled to
     unit integral on its grid (the representable part of the arrival-time
-    support).  The unscaled arrival probability is the energy integral of
-    the squared amplitude.
+    support).  The unscaled arrival probability is
+    ``amps.arrival_probability()``.
     """
-    egrid = amps.egrid
-    arrival = float(trapezoid_complex(np.abs(amps.values) ** 2, egrid.spacing).real)
+    arrival = amps.arrival_probability()
     if arrival < _ARRIVAL_FLOOR:
         raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
 
-    series = fourier_E_to_t(amps.values, egrid, tgrid, method=method)
+    series = fourier_E_to_t(amps.values, amps.egrid, tgrid, method=method)
     density = np.abs(series) ** 2
     norm = float(trapezoid_complex(density, tgrid.spacing).real)
     if norm < _ARRIVAL_FLOOR:
@@ -239,9 +238,8 @@ def barrier_amplitude(spec: GaussianPacketSpec, v0: float, length: float, x: flo
 
 def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
                 tgrid: TimeGrid, egrid: EnergyGrid | None = None,
-                method: str = "fft",
-                n_slices: int | None = None) -> TOADistribution:
+                method: str = "fft") -> TOADistribution:
     """Space-conditional arrival-time density behind a square barrier: the
     density of ``barrier_amplitude`` at the detector x > length."""
-    amps = barrier_amplitude(spec, v0, length, x, egrid, n_slices)
+    amps = barrier_amplitude(spec, v0, length, x, egrid)
     return toa_density(amps, tgrid, method=method)

@@ -1,5 +1,4 @@
-"""Grids, the complex square-root branch policy, unit phases, and the
-energy->time transform.
+"""Grids, unit phases, and the energy->time transform.
 
 The oscillatory transform
 
@@ -40,28 +39,10 @@ from .errors import GridTooCoarse
 __all__ = [
     "EnergyGrid",
     "TimeGrid",
-    "complex_sqrt_2m",
     "unit_phase",
     "trapezoid_complex",
     "fourier_E_to_t",
 ]
-
-
-def complex_sqrt_2m(E, V, m):
-    """sqrt(2 m (E - V)) on the upper-half-plane branch.
-
-    Purely real (nonnegative) for E >= V, purely imaginary with positive
-    imaginary part (never -i) for E < V, so forward translation through
-    classically forbidden regions attenuates rather than grows.  Accepts
-    scalars or arrays (broadcast).
-    """
-    arg = np.asarray(2.0 * m * (np.asarray(E, dtype=float) - np.asarray(V, dtype=float)))
-    # casting the real argument to complex gives +0j imaginary part, which
-    # numpy's sqrt continues onto the positive imaginary axis
-    out = np.sqrt(arg.astype(complex))
-    if out.ndim == 0:
-        return complex(out)
-    return out
 
 
 def unit_phase(phase, out=None):

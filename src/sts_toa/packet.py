@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EnergyGrid, unit_phase
+from .numerics import EnergyGrid, trapezoid_complex, unit_phase
 
 __all__ = [
     "GaussianPacketSpec",
@@ -72,6 +72,11 @@ class SpectralAmplitude:
         if not np.all(np.isfinite(values)):
             raise ValueError("amplitude values must be finite")
         object.__setattr__(self, "values", values)
+
+    def arrival_probability(self) -> float:
+        """Probability that the particle ever arrives at ``anchor_x``: the
+        energy integral of |a(E)|^2 on the grid, with no time transform."""
+        return float(trapezoid_complex(np.abs(self.values) ** 2, self.egrid.spacing).real)
 
 
 def psi_position(spec: GaussianPacketSpec, x):

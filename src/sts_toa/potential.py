@@ -1,7 +1,9 @@
-"""Piecewise-constant potentials and the complex phase integral.
+"""Piecewise-constant potentials, their levels and signed path widths.
 
-Only piecewise-constant potentials are supported: the phase integral then has
-an exact closed form per segment and no quadrature error.  Boundary
+Only piecewise-constant potentials are supported: the phase integral
+theta(E; x0 -> x) = integral sqrt(2m[E - V]) dx' is then an exact sum over
+the levels of ``PiecewisePotential.levels``, one term per level, and
+``evolution`` applies exp(i theta) as one factor per term.  Boundary
 convention: a segment owns its left edge (closed-left, open-right), so the
 slice propagator and the closed form agree bit for bit when slices align with
 segment edges.
@@ -14,9 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import complex_sqrt_2m
-
-__all__ = ["Segment", "PiecewisePotential", "phase_theta"]
+__all__ = ["Segment", "PiecewisePotential"]
 
 
 class Segment(NamedTuple):
@@ -88,20 +88,3 @@ class PiecewisePotential:
                                      return_inverse=True)
         return levels, np.bincount(level_of, weights=np.diff(bounds))
 
-
-def phase_theta(pot: PiecewisePotential, E, m: float, x0: float, x: float,
-                n_slices: int | None = None):
-    """Complex phase theta(E; x0 -> x) = integral sqrt(2m[E-V]) dx'.
-
-    The sum over potential levels, sum_v W_v sqrt(2m[E - V_v]), with the
-    signed widths W_v of ``PiecewisePotential.levels``: exact with segment
-    cuts, the midpoint rule with n_slices equal slices.  E may be an array.
-    The real part is the oscillatory phase, the imaginary part the decay
-    exponent accumulated in forbidden regions (nonnegative for x > x0).
-    Reversing x0 and x flips the sign.  The propagators of ``evolution``
-    apply exp(i theta) as one factor per term of this sum.
-    """
-    theta = 0j
-    for v, w in zip(*pot.levels(x0, x, n_slices)):
-        theta = theta + w * complex_sqrt_2m(E, v, m)
-    return theta

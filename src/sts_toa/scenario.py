@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .evolution import (TOADistribution, barrier_amplitude, check_scattering_setup,
                         free_kijowski, toa_density)
 from .kijowski import model_distance, transmitted_amplitude
-from .numerics import EnergyGrid, TimeGrid, complex_sqrt_2m, trapezoid_complex
+from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
 from .packet import GaussianPacketSpec, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
@@ -182,18 +182,18 @@ class ScenarioConfig:
         (m / 2E)^(1/4) at the energy-grid ends, the packet's prefactor
         (2 delta^2 / pi)^(1/4) and phase P x_i, the detector phase P x, the
         time-window phases E t_min and E t_max and the barrier exponent
-        sqrt(2 m (E - V0)) L; one of them past the float range would end the
-        run in non-finite amplitudes.  A phase (the real part of the barrier
-        exponent included) of magnitude >= 2**52 rad is rejected as well:
-        there adjacent doubles lie >= 1 rad apart, so the phase carries no
-        digits.
+        kappa L = sqrt(2 m |E - V0|) L; one of them past the float range would
+        end the run in non-finite amplitudes.  A phase of magnitude >= 2**52
+        rad is rejected as well: there adjacent doubles lie >= 1 rad apart, so
+        the phase carries no digits.  kappa L is a phase only where E >= V0;
+        below V0 it is a decay exponent, and an opaque barrier is no error.
         """
         spec = self.packet
         egrid = _build("packet", self.energy_grid)
         with np.errstate(all="ignore"):
             E = np.array([egrid.e_min, egrid.e_max])
             P = np.sqrt(2.0 * spec.m * E)
-            # (field, quantity, values, whether the real part is a phase)
+            # (field, quantity, values, which of the values are phases)
             scales = [
                 ("packet" if self.egrid is None else "egrid",
                  "momentum sqrt(2 m E) or weight (m / 2E)^(1/4) at the grid ends",
@@ -205,12 +205,12 @@ class ScenarioConfig:
                 ("tgrid.t_min", "phase E t_min", E * self.tgrid.t_min, True),
                 ("tgrid.t_max", "phase E t_max", E * self.tgrid.t_max, True),
             ] + [("barrier.v0", f"exponent sqrt(2 m (E - V0)) L at V0 = {v0:g}",
-                  complex_sqrt_2m(E, v0, spec.m) * self.barrier_length, True)
+                  np.sqrt(2.0 * spec.m * np.abs(E - v0)) * self.barrier_length, E >= v0)
                  for v0 in self.v0_list]
         for name, what, values, is_phase in scales:
             if not np.all(np.isfinite(values)):
                 raise ConfigError(name, f"{what} overflows a double")
-            if is_phase and np.max(np.abs(np.real(values))) >= _MAX_PHASE:
+            if np.any(is_phase & (np.abs(values) >= _MAX_PHASE)):
                 raise ConfigError(name, f"{what} reaches 2**52 rad or more, where "
                                         "adjacent doubles lie >= 1 rad apart")
 

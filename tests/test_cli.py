@@ -88,6 +88,7 @@ class TestExitCodes:
           "egrid": {"e_min": 0.5, "e_max": 4.0, "n": 100_000_000_000}},
          "egrid.n"),
         ({"preset": "fig2", "barrier": {"v0": [1e308]}}, "barrier.v0"),
+        ({"preset": "fig2", "barrier": {"v0": [-1e30]}}, "barrier.v0"),
         ({"preset": "fig2", "detector_x": 1e308}, "detector_x"),
         ({"preset": "fig2", "packet": {"x_i": -1e308}}, "packet.x_i"),
         ({"preset": "fig2", "packet": {"x_i": -1e300}, "barrier": {"v0": [0.0]}},
@@ -119,7 +120,7 @@ class TestExitCodes:
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
             "x_i-infinite", "v0-nan", "v0-empty", "models-empty", "models-string",
             "tgrid-n-string", "v0-int-past-float-range", "huge-slice-count",
-            "huge-tgrid", "huge-egrid", "v0-exponent-overflows",
+            "huge-tgrid", "huge-egrid", "v0-exponent-overflows", "v0-phase-without-digits",
             "detector-phase-overflows", "x_i-phase-overflows",
             "x_i-phase-without-digits", "flux-grid-too-wide", "flux-grid-too-long",
             "flux-detector-off-grid", "flux-detector-left-of-packet",
@@ -134,6 +135,15 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
+
+    # below V0 the barrier exponent kappa L is a decay, not a phase: at
+    # V0 = 1e30 it is ~1.4e16 but only makes the barrier opaque
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opaque_barrier_is_numerical_failure(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "barrier": {"v0": [1e30]}}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 3 and out == "" and "ZeroArrival" in err
 
     def test_v0_override_of_a_barrier_that_is_no_object(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

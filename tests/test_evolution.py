@@ -5,7 +5,7 @@ from sts_toa.errors import DivergenceWarning, ZeroArrival
 from sts_toa.evolution import (_free_flight, _level_factors, barrier_toa,
                                free_kijowski, propagate_closed_form,
                                propagate_slices, toa_density)
-from sts_toa.numerics import EnergyGrid, TimeGrid, complex_sqrt_2m
+from sts_toa.numerics import EnergyGrid, TimeGrid
 from sts_toa.packet import SpectralAmplitude, sc_initial_amplitude
 from sts_toa.potential import PiecewisePotential
 
@@ -72,7 +72,8 @@ class TestPropagation:
         E = amps.egrid.samples
         theta = np.zeros(E.size, dtype=complex)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            theta += (hi - lo) * complex_sqrt_2m(E, BARRIER.value_at(0.5 * (lo + hi)), 1.0)
+            v = BARRIER.value_at(0.5 * (lo + hi))
+            theta += (hi - lo) * np.sqrt((2.0 * (E - v)).astype(complex))
         expect = amps.values * np.exp(1j * theta)
         b = propagate_slices(amps, BARRIER, x, n)
         scale = np.max(np.abs(expect))
@@ -117,7 +118,8 @@ class TestPropagation:
     def test_level_factor_matches_complex_form(self, egrid, level, width, m):
         E = egrid.samples
         v = float(E[1000]) if level == "node" else level
-        expect = np.exp(1j * width * complex_sqrt_2m(E, v, m))
+        # the upper-half-plane branch: +0j continues onto +i sqrt(2m|E - v|)
+        expect = np.exp(1j * width * np.sqrt((2.0 * m * (E - v)).astype(complex)))
         (factor,) = _level_factors(E, m, [v], [width])
         assert np.max(np.abs(factor - expect) / np.abs(expect)) < 4e-16
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from sts_toa.errors import GridTooCoarse
 from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _plan,
-                              complex_sqrt_2m, fourier_E_to_t, trapezoid_complex,
+                              fourier_E_to_t, trapezoid_complex,
                               unit_phase)
 
 
@@ -33,29 +33,6 @@ class TestGrids:
             TimeGrid(1.0, 1.0, 16)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
-
-
-class TestComplexSqrt:
-    def test_allowed_region_is_real(self):
-        assert complex_sqrt_2m(2.0, 0.0, 1.0) == pytest.approx(2.0)
-
-    def test_forbidden_region_upper_half_plane(self):
-        val = complex_sqrt_2m(2.0, 4.5, 1.0)
-        assert val == pytest.approx(1j * np.sqrt(5.0))
-
-    def test_turning_point_is_zero(self):
-        assert complex_sqrt_2m(3.0, 3.0, 1.7) == 0.0
-
-    @given(st.floats(min_value=1e-6, max_value=1e6),
-           st.floats(min_value=-1e6, max_value=1e6),
-           st.floats(min_value=1e-3, max_value=1e3))
-    def test_branch_never_in_lower_half_plane(self, e, v, m):
-        val = complex_sqrt_2m(e, v, m)
-        assert np.imag(val) >= 0.0
-        if e >= v:
-            assert np.imag(val) == 0.0 and np.real(val) >= 0.0
-        else:
-            assert np.real(val) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestUnitPhase:

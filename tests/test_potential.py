@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sts_toa.potential import PiecewisePotential, phase_theta
+from sts_toa.evolution import propagate_closed_form
+from sts_toa.numerics import EnergyGrid
+from sts_toa.packet import SpectralAmplitude
+from sts_toa.potential import PiecewisePotential
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
 
@@ -49,23 +52,45 @@ class TestPiecewise:
             assert np.all(widths == 0.0)
 
 
+def _factor(pot, x0, x, egrid):
+    """exp(i theta(E; x0 -> x)) on the grid: unit amplitudes at x0 moved to x."""
+    ones = SpectralAmplitude(np.ones(egrid.n), anchor_x=x0, egrid=egrid)
+    return propagate_closed_form(ones, pot, x).values
+
+
+# theta = integral sqrt(2m[E - V]) dx is the sum over levels of
+# W_v sqrt(2m[E - V_v]); propagation applies exp(i theta), so each property
+# of the phase integral is checked on the levels and on the propagated factor
 class TestPhaseIntegral:
+    GRID = EnergyGrid(0.5, 8.0, 301)  # E = 2 is node 60
+
     def test_free_region(self):
-        theta = phase_theta(PiecewisePotential.free(), 2.0, 1.0, 0.0, 50.0)
-        assert theta == pytest.approx(100.0 + 0.0j)
+        levels, widths = PiecewisePotential.free().levels(0.0, 50.0)
+        assert list(levels) == [0.0] and list(widths) == [50.0]
+        factor = _factor(PiecewisePotential.free(), 0.0, 50.0, self.GRID)
+        assert self.GRID.samples[60] == 2.0
+        assert factor[60] == pytest.approx(np.exp(100.0j), rel=1e-12)
 
     def test_forbidden_segment(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 10.0)
-        assert theta == pytest.approx(1j * 10.0 * np.sqrt(5.0))
+        levels, widths = BARRIER.levels(0.0, 10.0)
+        assert list(levels) == [4.5] and list(widths) == [10.0]
+        factor = _factor(BARRIER, 0.0, 10.0, self.GRID)
+        assert factor[60].imag == 0.0
+        assert factor[60].real == pytest.approx(np.exp(-10.0 * np.sqrt(5.0)), rel=1e-14)
 
     def test_mixed_path_additive(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 50.0)
-        assert theta == pytest.approx(80.0 + 1j * 10.0 * np.sqrt(5.0))
+        levels, widths = BARRIER.levels(0.0, 50.0)
+        assert list(levels) == [0.0, 4.5] and list(widths) == [40.0, 10.0]
+        factor = _factor(BARRIER, 0.0, 50.0, self.GRID)
+        assert factor[60] == pytest.approx(np.exp(80.0j - 10.0 * np.sqrt(5.0)), rel=1e-12)
 
     def test_decay_nonnegative_forward(self):
-        theta = phase_theta(BARRIER, 2.0, 1.0, 0.0, 30.0)
-        assert np.imag(theta) >= 0.0
-        assert np.real(theta) == pytest.approx(40.0)
+        # forward through the barrier: a decay below V0, a unit phase above
+        factor = _factor(BARRIER, 0.0, 30.0, self.GRID)
+        below = self.GRID.samples < 4.5
+        assert np.all(np.abs(factor[below]) < 1.0)
+        np.testing.assert_allclose(np.abs(factor[~below]), 1.0, rtol=1e-15)
+        assert factor[60] == pytest.approx(np.exp(40.0j - 10.0 * np.sqrt(5.0)), rel=1e-12)
 
     @settings(max_examples=50)
     @given(st.floats(min_value=0.1, max_value=8.0),
@@ -73,16 +98,17 @@ class TestPhaseIntegral:
            st.floats(min_value=-20.0, max_value=40.0),
            st.floats(min_value=-20.0, max_value=40.0))
     def test_additivity_and_reversal(self, e, x0, x1, x2):
-        args = (BARRIER, e, 1.0)
-        t01 = phase_theta(*args, x0, x1)
-        t12 = phase_theta(*args, x1, x2)
-        t02 = phase_theta(*args, x0, x2)
-        assert t01 + t12 == pytest.approx(t02, abs=1e-9)
-        assert phase_theta(*args, x1, x0) == pytest.approx(-t01, abs=1e-12)
+        egrid = EnergyGrid(e, e + 1.0, 33)
+        start = SpectralAmplitude(np.ones(egrid.n), anchor_x=x0, egrid=egrid)
+        at_x1 = propagate_closed_form(start, BARRIER, x1)
+        via = propagate_closed_form(at_x1, BARRIER, x2)
+        direct = propagate_closed_form(start, BARRIER, x2)
+        np.testing.assert_allclose(via.values, direct.values, rtol=1e-9)
+        back = propagate_closed_form(at_x1, BARRIER, x0)
+        np.testing.assert_allclose(back.values, start.values, rtol=1e-12)
 
     def test_energy_array_vectorized(self):
-        e = np.linspace(0.5, 6.0, 64)
-        theta = phase_theta(BARRIER, e, 1.0, 0.0, 50.0)
-        assert theta.shape == e.shape
-        single = phase_theta(BARRIER, float(e[10]), 1.0, 0.0, 50.0)
-        assert theta[10] == pytest.approx(single)
+        factor = _factor(BARRIER, 0.0, 50.0, EnergyGrid(0.5, 6.0, 64))
+        e10 = float(np.linspace(0.5, 6.0, 64)[10])
+        single = _factor(BARRIER, 0.0, 50.0, EnergyGrid(e10, e10 + 1.0, 2))
+        assert factor[10] == pytest.approx(single[0], rel=1e-12)

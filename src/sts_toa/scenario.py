@@ -93,7 +93,7 @@ def _require(dct, key, typ, field_name, at_most=None):
     val = dct[key]
     if typ is float:
         return _finite_float(val, field_name)
-    if not isinstance(val, typ):
+    if isinstance(val, bool) or not isinstance(val, typ):  # a bool is an int
         raise ConfigError(field_name, f"expected {typ.__name__}, got {type(val).__name__}")
     if at_most is not None and val > at_most:
         raise ConfigError(field_name, f"must be <= {at_most}, got {val}")
@@ -336,17 +336,33 @@ def _flux_oracle_series(cfg: ScenarioConfig, v0: float) -> np.ndarray:
     return np.interp(cfg.tgrid.samples, series.times, series.current)
 
 
+def _slices_cut_at_edges(cfg: ScenarioConfig, v0: float) -> bool:
+    """Whether the config's method gives the closed form's levels and widths
+    on the path from the initial amplitude's anchor x0 = 0 to the detector;
+    the translation then multiplies the same factors, bit for bit."""
+    if cfg.n_slices is None:
+        return True
+    pot = PiecewisePotential.square_barrier(v0, cfg.barrier_length)
+    sliced = pot.levels(0.0, cfg.detector_x, cfg.n_slices)
+    exact = pot.levels(0.0, cfg.detector_x)
+    return all(np.array_equal(s, e) for s, e in zip(sliced, exact))
+
+
 def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
                     free_dist: TOADistribution | None) -> SweepPoint:
     dists: dict[str, TOADistribution] = {}
     setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x, egrid)
-    sts = None
+    closed = None
     if "sts" in cfg.models:
         sts = barrier_amplitude(*setup, n_slices=cfg.n_slices)
         dists["sts"] = toa_density(sts, cfg.tgrid)
+        if _slices_cut_at_edges(cfg, v0):
+            closed = sts
     if "kijowski_transmitted" in cfg.models:
-        # the Kijowski amplitude is the closed-form sts amplitude times R(E)
-        closed = sts if sts is not None and cfg.n_slices is None else barrier_amplitude(*setup)
+        # the Kijowski amplitude is the closed-form sts amplitude times R(E);
+        # slices that cut the path elsewhere need the closed form built apart
+        if closed is None:
+            closed = barrier_amplitude(*setup)
         dists["kijowski_transmitted"] = toa_density(
             transmitted_amplitude(closed, v0, cfg.barrier_length), cfg.tgrid)
     if free_dist is not None:
@@ -361,6 +377,11 @@ def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
 
 def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     """Evaluate every requested model at every barrier height.
+
+    At each height the transmitted Kijowski model multiplies the closed-form
+    ``sts`` amplitude by R(E).  Under ``slices:<n>`` that amplitude is the
+    sliced one when the slices give exactly the closed form's levels and
+    widths, and is built apart otherwise.
 
     Points may be evaluated concurrently (``max_workers`` > 1); results are
     assembled in the config's ascending V0 order either way, so output is

@@ -116,6 +116,8 @@ class TestExitCodes:
           "models": ["kijowski_transmitted"]}, "packet"),
         (TGRID_OVERFLOWS, "tgrid"),
         (EGRID_OVERFLOWS, "egrid"),
+        ({"preset": "fig2", "tgrid": {"t_min": 0.0, "t_max": 150.0, "n": True}}, "tgrid.n"),
+        ({"preset": "fig2", "egrid": {"e_min": 0.5, "e_max": 4.0, "n": False}}, "egrid.n"),
     ], ids=["packet-not-scattering", "zero-length", "zero-length-flux",
             "independent-amplitude", "mass-null", "hbar-list", "hbar-not-one",
             "x_i-infinite", "v0-nan", "v0-empty", "models-empty", "models-string",
@@ -128,7 +130,7 @@ class TestExitCodes:
             "t_max-phase-without-digits", "packet-unknown-key", "barrier-unknown-key",
             "tgrid-unknown-key", "egrid-unknown-key", "hbar-one",
             "kijowski-packet-not-scattering", "tgrid-spacing-overflows",
-            "egrid-samples-overflow"])
+            "egrid-samples-overflow", "tgrid-n-bool", "egrid-n-bool"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_config_names_field(self, capsys, tmp_path, cfg, field):
         path = tmp_path / "cfg.json"

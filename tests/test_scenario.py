@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sts_toa import evolution
 from sts_toa.errors import ConfigError
 from sts_toa.evolution import TOADistribution
 from sts_toa.scenario import (ScenarioConfig, ScenarioResult, SweepPoint,
@@ -113,6 +114,29 @@ class TestRun:
             outputs.append((files, json.dumps(result.summary(), sort_keys=True)))
         assert len(outputs[0][0]) == 4
         assert outputs[0] == outputs[1]
+
+    # 50 slices of [0, 50] put a cut on the barrier's right edge x = 10, so
+    # the sliced amplitude is the closed form and serves Kijowski too; 50 / 7
+    # lands no cut there, so the closed form is translated apart
+    @pytest.mark.parametrize("n_slices, translations", [(50, 1), (7, 2)])
+    def test_slices_reuse_the_closed_form_only_at_the_edges(self, monkeypatch,
+                                                            n_slices, translations):
+        closed = run_scenario(fig2(barrier={"v0": [1.8]})).points[0].distributions
+        calls = []
+        translate = evolution._translate
+
+        def counted(*args):
+            calls.append(args)
+            return translate(*args)
+
+        monkeypatch.setattr(evolution, "_translate", counted)
+        sliced = run_scenario(fig2(barrier={"v0": [1.8]}, method=f"slices:{n_slices}"))
+        assert len(calls) == translations
+        rho = {name: dist.density for name, dist in sliced.points[0].distributions.items()}
+        assert set(rho) == {"sts", "kijowski_transmitted", "kijowski_free"}
+        for name in ("kijowski_transmitted", "kijowski_free"):
+            assert np.array_equal(rho[name], closed[name].density)
+        assert np.array_equal(rho["sts"], closed["sts"].density) == (translations == 1)
 
 
 class TestCsv:

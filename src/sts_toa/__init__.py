@@ -12,7 +12,7 @@ the mass m is a parameter.
 from .errors import (ConfigError, DivergenceWarning, GridMismatch, GridTooCoarse,
                      UnstableConfig, ZeroArrival)
 from .evolution import (TOADistribution, barrier_amplitude, barrier_toa, free_kijowski,
-                        propagate_closed_form, propagate_slices, toa_density)
+                        propagate, toa_density)
 from .kijowski import (model_distance, transmission_amplitude, transmitted_amplitude,
                        transmitted_kijowski)
 from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t
@@ -30,8 +30,7 @@ __all__ = [
     "ScenarioResult", "SpectralAmplitude", "SweepPoint", "TOADistribution",
     "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_amplitude", "barrier_toa",
     "default_energy_grid", "emit_csv", "emit_svg", "fourier_E_to_t",
-    "free_kijowski", "model_distance", "propagate_closed_form", "propagate_slices",
-    "psi_momentum", "psi_position", "run_scenario", "sc_initial_amplitude",
-    "toa_density", "transmission_amplitude", "transmitted_amplitude",
-    "transmitted_kijowski",
+    "free_kijowski", "model_distance", "propagate", "psi_momentum", "psi_position",
+    "run_scenario", "sc_initial_amplitude", "toa_density", "transmission_amplitude",
+    "transmitted_amplitude", "transmitted_kijowski",
 ]

@@ -146,7 +146,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _selfcheck_cases():
-    from .evolution import propagate_closed_form, propagate_slices
+    from .evolution import propagate
     from .kijowski import transmission_amplitude
     from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t
     from .oracle import transfer_matrix_T
@@ -180,9 +180,9 @@ def _selfcheck_cases():
     def slices_vs_closed():
         pot = PiecewisePotential.square_barrier(1.8, 10.0)
         amps = sc_initial_amplitude(spec, egrid)
-        a = propagate_closed_form(amps, pot, 50.0)
-        # 50 slices over [0, 50]: boundaries land on the barrier edges
-        b = propagate_slices(amps, pot, 50.0, 50)
+        a = propagate(amps, pot, 50.0)
+        # 50 slices over [0, 50] give the closed form's levels and widths
+        b = propagate(amps, pot, 50.0, 50)
         scale = float(np.max(np.abs(a.values)))
         return float(np.max(np.abs(a.values - b.values))) / scale, 1e-10
 

@@ -5,13 +5,12 @@ distribution.
 Spatial translation from x0 to x is a product over the potential levels of
 ``PiecewisePotential.levels``: U(x, x0) multiplies each energy component by
 one factor exp(i W_v k_v) per level V_v, with k_v = sqrt(2m[E - V_v]) and W_v
-the signed path width at that level.  The closed form cuts the path at segment
-edges; the slice-based variant cuts it into equal slices and takes V at each
-slice midpoint, so it costs one factor per distinct level whatever the slice
-count.  When the slices align with segment edges both variants multiply the
-same factors and agree bit for bit.  The zero-level factor is the free flight;
-behind a square barrier it is the same at every height, so the heights of a
-sweep share one (read-only, cached) array.
+the signed path width at that level.  ``propagate`` cuts the path at segment
+edges (the closed form) or into equal slices with V taken at each slice
+midpoint, so it costs one factor per distinct level whatever the slice count.
+The zero-level factor is the free flight; behind a square barrier it is the
+same at every height, so the heights of a sweep share one (read-only, cached)
+array.
 
 Every factor is formed in real arithmetic.  The ascending energy grid splits
 at each level: E >= V_v from index searchsorted(E, V_v) on, E < V_v before
@@ -42,9 +41,8 @@ from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      sc_initial_amplitude)
 from .potential import PiecewisePotential
 
-__all__ = ["TOADistribution", "propagate_closed_form", "propagate_slices",
-           "toa_density", "free_kijowski", "check_scattering_setup",
-           "barrier_amplitude", "barrier_toa"]
+__all__ = ["TOADistribution", "propagate", "toa_density", "free_kijowski",
+           "check_scattering_setup", "barrier_amplitude", "barrier_toa"]
 
 # |exp(x)| overflows past ~709; flag growth exponents beyond this
 _OVERFLOW_EXPONENT = 700.0
@@ -138,9 +136,17 @@ def _free_flight(egrid: EnergyGrid, m: float, width: float) -> np.ndarray:
     return factor
 
 
-def _translate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
-               n_slices: int | None) -> SpectralAmplitude:
-    """amps moved to x by one factor exp(i W_v k_v) per level V_v on the path."""
+def propagate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
+              n_slices: int | None = None) -> SpectralAmplitude:
+    """amps moved to x by one factor exp(i W_v k_v) per level V_v on the path.
+
+    The path is cut as ``pot.levels`` cuts it: at the segment edges it crosses
+    (the exact closed form) when n_slices is None, else into n_slices equal
+    slices with V read at each slice midpoint, first-order accurate in the
+    slice width.  The factors depend on the cut only through the (levels,
+    widths) table that ``pot.levels`` returns, so two cuts with equal tables
+    give bit-identical amplitudes; the cost does not depend on the slice count.
+    """
     egrid = amps.egrid
     levels, widths = pot.levels(amps.anchor_x, x, n_slices)
     free = levels == 0.0  # the cached free flight
@@ -151,24 +157,6 @@ def _translate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
     for factor in factors:
         values *= factor
     return SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=amps.m)
-
-
-def propagate_closed_form(amps: SpectralAmplitude, pot: PiecewisePotential,
-                          x: float) -> SpectralAmplitude:
-    """Translate the amplitude from its anchor to x in one exact step."""
-    return _translate(amps, pot, x, None)
-
-
-def propagate_slices(amps: SpectralAmplitude, pot: PiecewisePotential,
-                     x: float, n_slices: int) -> SpectralAmplitude:
-    """Translate across n_slices equal slices, sampling V at slice midpoints.
-
-    The slices' widths are summed per potential level, so the cost does not
-    depend on the slice count.  First-order accurate in the slice width for
-    misaligned slices; bit-for-bit equal to the closed form when every slice
-    lies inside one segment.
-    """
-    return _translate(amps, pot, x, n_slices)
 
 
 def toa_density(amps: SpectralAmplitude, tgrid: TimeGrid,
@@ -201,7 +189,11 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     energy variable, (m/2E)^(1/4) psi_momentum), phase-shifted to the detector
     and transformed to the time domain.  Coincides with the zero-potential
     translation pipeline; the two paths are kept separate as a cross-check.
+    Raises ConfigError unless the packet's momenta are essentially positive
+    (``GaussianPacketSpec.has_positive_momenta``).
     """
+    if not spec.has_positive_momenta():
+        raise ConfigError("packet", "the free Kijowski model needs p_i - 5 sigma_p > 0")
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     amps0 = sc_initial_amplitude(spec, egrid)
     Px = np.sqrt(2.0 * spec.m * egrid.samples)
@@ -230,10 +222,7 @@ def barrier_amplitude(spec: GaussianPacketSpec, v0: float, length: float, x: flo
     check_scattering_setup(spec, length, x)
     egrid = egrid if egrid is not None else default_energy_grid(spec)
     pot = PiecewisePotential.square_barrier(v0, length)
-    amps = sc_initial_amplitude(spec, egrid)
-    if n_slices is None:
-        return propagate_closed_form(amps, pot, x)
-    return propagate_slices(amps, pot, x, n_slices)
+    return propagate(sc_initial_amplitude(spec, egrid), pot, x, n_slices)
 
 
 def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,

@@ -44,10 +44,15 @@ class GaussianPacketSpec:
         """Momentum-space standard deviation of |psi_momentum|^2."""
         return 1.0 / (2.0 * self.delta)
 
+    def has_positive_momenta(self) -> bool:
+        """Essentially all momenta positive, p_i - 5 sigma_p > 0, as the
+        energy-domain amplitude assumes: it drops the momenta P <= 0, and its
+        weight (m/2E)^(1/4) diverges at P = 0."""
+        return self.p_i - 5.0 * self.sigma_p > 0.0
+
     def in_scattering_regime(self) -> bool:
         """Packet well to the left of the origin with essentially positive momenta."""
-        return (self.x_i + 5.0 * self.delta <= 0.0
-                and self.p_i - 5.0 * self.sigma_p > 0.0)
+        return self.x_i + 5.0 * self.delta <= 0.0 and self.has_positive_momenta()
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,7 @@ Only piecewise-constant potentials are supported: the phase integral
 theta(E; x0 -> x) = integral sqrt(2m[E - V]) dx' is then an exact sum over
 the levels of ``PiecewisePotential.levels``, one term per level, and
 ``evolution`` applies exp(i theta) as one factor per term.  Boundary
-convention: a segment owns its left edge (closed-left, open-right), so the
-slice propagator and the closed form agree bit for bit when slices align with
-segment edges.
+convention: a segment owns its left edge (closed-left, open-right).
 """
 
 from __future__ import annotations

@@ -138,6 +138,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and f"config error: {field}:" in err
 
+    # at p_i = 0 the default grid starts at E = 1e-9, where the weight
+    # (m/2E)^(1/4) diverges: the free model reported an arrival probability
+    # of 1.16 against an exact positive-momentum weight of 0.5
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_free_model_rejects_momenta_reaching_zero(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2", "packet": {"p_i": 0}}))
+        code, out, err = run_cli(capsys, "free-toa", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: packet:")
+
     # below V0 the barrier exponent kappa L is a decay, not a phase: at
     # V0 = 1e30 it is ~1.4e16 but only makes the barrier opaque
     @pytest.mark.filterwarnings("error::RuntimeWarning")

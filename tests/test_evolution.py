@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from sts_toa.errors import DivergenceWarning, ZeroArrival
+from sts_toa.errors import ConfigError, DivergenceWarning, ZeroArrival
 from sts_toa.evolution import (_free_flight, _level_factors, barrier_toa,
-                               free_kijowski, propagate_closed_form,
-                               propagate_slices, toa_density)
+                               free_kijowski, propagate, toa_density)
 from sts_toa.numerics import EnergyGrid, TimeGrid
-from sts_toa.packet import SpectralAmplitude, sc_initial_amplitude
+from sts_toa.packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
 from sts_toa.potential import PiecewisePotential
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
-# the fig2 heights whose closed form and aligned slices agree bit for bit
+# fig2 heights; the slice counts used with them below give the closed form's
+# levels and widths exactly, so the amplitudes agree bit for bit
 V0_LIST = (0.0, 1.8, 4.5)
 
 
@@ -21,11 +21,11 @@ def amps(spec, egrid):
 
 class TestPropagation:
     def test_zero_distance_identity(self, amps):
-        out = propagate_closed_form(amps, BARRIER, 0.0)
+        out = propagate(amps, BARRIER, 0.0)
         assert np.array_equal(out.values, amps.values)
 
     def test_free_translation_is_unitary_phase(self, amps, egrid):
-        out = propagate_closed_form(amps, PiecewisePotential.free(), 30.0)
+        out = propagate(amps, PiecewisePotential.free(), 30.0)
         np.testing.assert_allclose(np.abs(out.values), np.abs(amps.values),
                                    rtol=1e-13)
         P = np.sqrt(2.0 * egrid.samples)
@@ -40,25 +40,25 @@ class TestPropagation:
         vals[idx] = 1.0
         one = SpectralAmplitude(vals, anchor_x=0.0, egrid=egrid, m=1.0)
         kappa = np.sqrt(2.0 * (4.5 - e))
-        out = propagate_closed_form(one, BARRIER, 10.0)
+        out = propagate(one, BARRIER, 10.0)
         assert abs(out.values[idx]) == pytest.approx(np.exp(-10.0 * kappa), rel=1e-10)
 
     def test_aligned_slices_match_closed_form(self, amps):
-        # both variants sum the same widths per level
+        # these counts sum the slices to the closed form's widths per level
         for v0 in V0_LIST:
             pot = PiecewisePotential.square_barrier(v0, 10.0)
-            a = propagate_closed_form(amps, pot, 50.0)
+            a = propagate(amps, pot, 50.0)
             for n in (5, 50, 500):
-                b = propagate_slices(amps, pot, 50.0, n)
+                b = propagate(amps, pot, 50.0, n)
                 assert np.array_equal(a.values, b.values), (v0, n)
 
     def test_misaligned_slices_converge_first_order(self, amps):
-        a = propagate_closed_form(amps, BARRIER, 50.0)
+        a = propagate(amps, BARRIER, 50.0)
         errs = []
         # counts chosen so the barrier edge keeps the same fractional offset
         # (0.4 of a slice) while the slice width shrinks ~9x overall
         for n in (48, 112, 448):
-            b = propagate_slices(amps, BARRIER, 50.0, n)
+            b = propagate(amps, BARRIER, 50.0, n)
             errs.append(np.max(np.abs(a.values - b.values)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[2] == pytest.approx(448 / 48, rel=0.5)
@@ -75,15 +75,15 @@ class TestPropagation:
             v = BARRIER.value_at(0.5 * (lo + hi))
             theta += (hi - lo) * np.sqrt((2.0 * (E - v)).astype(complex))
         expect = amps.values * np.exp(1j * theta)
-        b = propagate_slices(amps, BARRIER, x, n)
+        b = propagate(amps, BARRIER, x, n)
         scale = np.max(np.abs(expect))
         assert np.max(np.abs(b.values - expect)) / scale < 1e-12
 
     def test_slices_at_the_cap_match_closed_form(self, amps):
         for v0 in V0_LIST:
             pot = PiecewisePotential.square_barrier(v0, 10.0)
-            a = propagate_closed_form(amps, pot, 50.0)
-            b = propagate_slices(amps, pot, 50.0, 100_000)
+            a = propagate(amps, pot, 50.0)
+            b = propagate(amps, pot, 50.0, 100_000)
             assert np.array_equal(a.values, b.values), v0
 
     @pytest.mark.parametrize("pots", [[PiecewisePotential.free()],
@@ -91,16 +91,17 @@ class TestPropagation:
                                        for v0 in V0_LIST]],
                              ids=["free", "barrier"])
     def test_backward_slices_match_closed_form(self, amps, pots):
-        # from x = 50 back to x = -10: slices of width 1 align with both edges
+        # from x = 50 back to x = -10: slices of width 1 sum to the closed
+        # form's widths per level
         for pot in pots:
-            there = propagate_closed_form(amps, pot, 50.0)
-            a = propagate_closed_form(there, pot, -10.0)
-            b = propagate_slices(there, pot, -10.0, 60)
+            there = propagate(amps, pot, 50.0)
+            a = propagate(there, pot, -10.0)
+            b = propagate(there, pot, -10.0, 60)
             assert b.anchor_x == -10.0
             assert np.array_equal(a.values, b.values), pot
 
     def test_free_flight_is_cached_read_only(self, amps):
-        propagate_closed_form(amps, BARRIER, 50.0)  # a free flight over x - L = 40
+        propagate(amps, BARRIER, 50.0)  # a free flight over x - L = 40
         hits = _free_flight.cache_info().hits
         flight = _free_flight(amps.egrid, 1.0, 40.0)
         assert _free_flight.cache_info().hits == hits + 1
@@ -124,8 +125,8 @@ class TestPropagation:
         assert np.max(np.abs(factor - expect) / np.abs(expect)) < 4e-16
 
     def test_round_trip_in_allowed_region(self, amps):
-        out = propagate_closed_form(amps, PiecewisePotential.free(), 40.0)
-        back = propagate_closed_form(out, PiecewisePotential.free(), 0.0)
+        out = propagate(amps, PiecewisePotential.free(), 40.0)
+        back = propagate(out, PiecewisePotential.free(), 0.0)
         assert np.max(np.abs(back.values - amps.values)) < 1e-10
 
     def test_backward_through_thick_barrier_diverges(self, egrid):
@@ -135,14 +136,14 @@ class TestPropagation:
         one = SpectralAmplitude(vals, anchor_x=25.0, egrid=egrid, m=1.0)
         thick = PiecewisePotential.square_barrier(500.0, 25.0)
         with pytest.raises(DivergenceWarning):
-            propagate_closed_form(one, thick, 0.0)
+            propagate(one, thick, 0.0)
 
     def test_backward_slices_through_thick_barrier_diverge(self, egrid):
         vals = np.ones(egrid.n, dtype=complex)
         one = SpectralAmplitude(vals, anchor_x=25.0, egrid=egrid, m=1.0)
         thick = PiecewisePotential.square_barrier(500.0, 25.0)
         with pytest.raises(DivergenceWarning):
-            propagate_slices(one, thick, 0.0, 50)
+            propagate(one, thick, 0.0, 50)
 
 
 class TestDensity:
@@ -176,6 +177,13 @@ class TestFreeArrival:
     def test_always_arrives(self, spec, tgrid):
         dist = free_kijowski(spec, 50.0, tgrid)
         assert dist.arrival_probability == pytest.approx(1.0, abs=1e-6)
+
+    def test_rejects_momenta_reaching_zero(self, tgrid):
+        # at p_i = 4 sigma_p the weight (m/2E)^(1/4) near E = 0 lifted the
+        # arrival probability to 1.0004, past the exact 0.99997
+        spec = GaussianPacketSpec(x_i=-50.0, p_i=0.2, delta=10.0)
+        with pytest.raises(ConfigError, match="^packet: "):
+            free_kijowski(spec, 50.0, tgrid)
 
     def test_momentum_phase_shifts_density(self, spec, egrid):
         tgrid = TimeGrid(0.0, 150.0, 4096)

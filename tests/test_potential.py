@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sts_toa.evolution import propagate_closed_form
+from sts_toa.evolution import propagate
 from sts_toa.numerics import EnergyGrid
 from sts_toa.packet import SpectralAmplitude
 from sts_toa.potential import PiecewisePotential
@@ -55,7 +55,7 @@ class TestPiecewise:
 def _factor(pot, x0, x, egrid):
     """exp(i theta(E; x0 -> x)) on the grid: unit amplitudes at x0 moved to x."""
     ones = SpectralAmplitude(np.ones(egrid.n), anchor_x=x0, egrid=egrid)
-    return propagate_closed_form(ones, pot, x).values
+    return propagate(ones, pot, x).values
 
 
 # theta = integral sqrt(2m[E - V]) dx is the sum over levels of
@@ -100,11 +100,11 @@ class TestPhaseIntegral:
     def test_additivity_and_reversal(self, e, x0, x1, x2):
         egrid = EnergyGrid(e, e + 1.0, 33)
         start = SpectralAmplitude(np.ones(egrid.n), anchor_x=x0, egrid=egrid)
-        at_x1 = propagate_closed_form(start, BARRIER, x1)
-        via = propagate_closed_form(at_x1, BARRIER, x2)
-        direct = propagate_closed_form(start, BARRIER, x2)
+        at_x1 = propagate(start, BARRIER, x1)
+        via = propagate(at_x1, BARRIER, x2)
+        direct = propagate(start, BARRIER, x2)
         np.testing.assert_allclose(via.values, direct.values, rtol=1e-9)
-        back = propagate_closed_form(at_x1, BARRIER, x0)
+        back = propagate(at_x1, BARRIER, x0)
         np.testing.assert_allclose(back.values, start.values, rtol=1e-12)
 
     def test_energy_array_vectorized(self):

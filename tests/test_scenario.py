@@ -115,21 +115,23 @@ class TestRun:
         assert len(outputs[0][0]) == 4
         assert outputs[0] == outputs[1]
 
-    # 50 slices of [0, 50] put a cut on the barrier's right edge x = 10, so
-    # the sliced amplitude is the closed form and serves Kijowski too; 50 / 7
-    # lands no cut there, so the closed form is translated apart
-    @pytest.mark.parametrize("n_slices, translations", [(50, 1), (7, 2)])
+    # 50 slices of [0, 50] give the closed form's levels and widths, so the
+    # sliced amplitude is the closed form and serves Kijowski too; 50 / 7
+    # lands no cut on the barrier edge x = 10, and 50 / 385 lands one there
+    # to rounding but misses the closed form's widths by ~1e-15, so both
+    # translate the closed form apart
+    @pytest.mark.parametrize("n_slices, translations", [(50, 1), (7, 2), (385, 2)])
     def test_slices_reuse_the_closed_form_only_at_the_edges(self, monkeypatch,
                                                             n_slices, translations):
         closed = run_scenario(fig2(barrier={"v0": [1.8]})).points[0].distributions
         calls = []
-        translate = evolution._translate
+        propagate = evolution.propagate
 
         def counted(*args):
             calls.append(args)
-            return translate(*args)
+            return propagate(*args)
 
-        monkeypatch.setattr(evolution, "_translate", counted)
+        monkeypatch.setattr(evolution, "propagate", counted)
         sliced = run_scenario(fig2(barrier={"v0": [1.8]}, method=f"slices:{n_slices}"))
         assert len(calls) == translations
         rho = {name: dist.density for name, dist in sliced.points[0].distributions.items()}

@@ -129,7 +129,7 @@ def _cmd_oracle(args) -> int:
     rows = []
     for v0 in cfg.v0_list:
         sts = barrier_amplitude(cfg.packet, v0, cfg.barrier_length, cfg.detector_x,
-                                cfg.energy_grid())
+                                cfg.energy_grid("kijowski_transmitted"))
         arrival = transmitted_amplitude(sts, v0, cfg.barrier_length).arrival_probability()
         try:
             solver = barrier_transmission_norm(cfg.packet, v0, cfg.barrier_length,

@@ -10,7 +10,7 @@ edges (the closed form) or into equal slices with V taken at each slice
 midpoint, so it costs one factor per distinct level whatever the slice count.
 The zero-level factor is the free flight; behind a square barrier it is the
 same at every height, so the heights of a sweep share one (read-only, cached)
-array.
+array per energy grid.
 
 Every factor is formed in real arithmetic.  The ascending energy grid splits
 at each level: E >= V_v from index searchsorted(E, V_v) on, E < V_v before
@@ -90,6 +90,22 @@ class TOADistribution:
     def peak_time(self) -> float:
         return float(self.tgrid.samples[int(np.argmax(self.density))])
 
+    @classmethod
+    def from_transform(cls, amps: SpectralAmplitude, series: np.ndarray,
+                       tgrid: TimeGrid) -> "TOADistribution":
+        """The density |series|^2 of ``amps``'s time amplitude ``series`` on
+        ``tgrid``, scaled to unit integral, with ``amps``'s arrival
+        probability; ZeroArrival if that probability or the density's mass
+        inside the window is below 1e-300."""
+        arrival = amps.arrival_probability()
+        if arrival < _ARRIVAL_FLOOR:
+            raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
+        density = np.abs(series) ** 2
+        norm = float(trapezoid_complex(density, tgrid.spacing).real)
+        if norm < _ARRIVAL_FLOOR:
+            raise ZeroArrival(f"no density mass inside the time window at x = {amps.anchor_x}")
+        return cls(tgrid, density / norm, arrival_probability=arrival)
+
 
 def _check_growth(exponents):
     worst = float(np.max(exponents, initial=0.0))
@@ -126,11 +142,12 @@ def _level_factors(E: np.ndarray, m: float, levels, widths) -> list[np.ndarray]:
     return factors
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _free_flight(egrid: EnergyGrid, m: float, width: float) -> np.ndarray:
     """Read-only level-zero factor exp(i W sqrt(2 m E)) of a free flight over
-    the signed width W; one (grid, mass, width) is kept, so a sweep's heights
-    share one."""
+    the signed width W; two (grid, mass, width) are kept, so a sweep's
+    heights share one per energy grid (the ``sts`` grid and the Kijowski
+    models' grid)."""
     (factor,) = _level_factors(egrid.samples, m, [0.0], [width])
     factor.flags.writeable = False
     return factor
@@ -168,16 +185,8 @@ def toa_density(amps: SpectralAmplitude, tgrid: TimeGrid,
     support).  The unscaled arrival probability is
     ``amps.arrival_probability()``.
     """
-    arrival = amps.arrival_probability()
-    if arrival < _ARRIVAL_FLOOR:
-        raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
-
     series = fourier_E_to_t(amps.values, amps.egrid, tgrid, method=method)
-    density = np.abs(series) ** 2
-    norm = float(trapezoid_complex(density, tgrid.spacing).real)
-    if norm < _ARRIVAL_FLOOR:
-        raise ZeroArrival(f"no density mass inside the time window at x = {amps.anchor_x}")
-    return TOADistribution(tgrid, density / norm, arrival_probability=arrival)
+    return TOADistribution.from_transform(amps, series, tgrid)
 
 
 def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
@@ -189,12 +198,14 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     energy variable, (m/2E)^(1/4) psi_momentum), phase-shifted to the detector
     and transformed to the time domain.  Coincides with the zero-potential
     translation pipeline; the two paths are kept separate as a cross-check.
-    Raises ConfigError unless the packet's momenta are essentially positive
+    Without ``egrid`` it runs on the Kijowski models' default grid for the
+    window ``tgrid`` (``default_energy_grid(spec, tgrid)``).  Raises
+    ConfigError unless the packet's momenta are essentially positive
     (``GaussianPacketSpec.has_positive_momenta``).
     """
     if not spec.has_positive_momenta():
         raise ConfigError("packet", "the free Kijowski model needs p_i - 5 sigma_p > 0")
-    egrid = egrid if egrid is not None else default_energy_grid(spec)
+    egrid = egrid if egrid is not None else default_energy_grid(spec, tgrid)
     amps0 = sc_initial_amplitude(spec, egrid)
     Px = np.sqrt(2.0 * spec.m * egrid.samples)
     Px *= x

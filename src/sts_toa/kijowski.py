@@ -38,7 +38,7 @@ import numpy as np
 from .errors import GridMismatch
 from .evolution import TOADistribution, barrier_amplitude, toa_density
 from .numerics import EnergyGrid, TimeGrid, trapezoid_complex, unit_phase
-from .packet import GaussianPacketSpec, SpectralAmplitude
+from .packet import GaussianPacketSpec, SpectralAmplitude, default_energy_grid
 
 __all__ = ["transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
            "model_distance"]
@@ -148,11 +148,14 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
                          method: str = "fft") -> TOADistribution:
     """Kijowski arrival-time density of the transmitted packet at x > L.
 
-    Sampled on the same energy grid as the space-conditional model (momenta
-    P = sqrt(2mE)), so model distances carry no interpolation error.  The
-    reported arrival probability is the transmission probability
+    Sampled on ``egrid`` (momenta P = sqrt(2mE)), by default the Kijowski
+    models' grid for the window ``tgrid`` (``default_energy_grid(spec,
+    tgrid)``); the density lies on ``tgrid`` as the space-conditional one
+    does, so model distances carry no interpolation error.  The reported
+    arrival probability is the transmission probability
     integral |T(P) psi_momentum(P)|^2 dP.
     """
+    egrid = egrid if egrid is not None else default_energy_grid(spec, tgrid)
     sts = barrier_amplitude(spec, v0, length, x, egrid)
     return toa_density(transmitted_amplitude(sts, v0, length), tgrid, method=method)
 

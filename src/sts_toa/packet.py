@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EnergyGrid, trapezoid_complex, unit_phase
+from .numerics import EnergyGrid, TimeGrid, trapezoid_complex, unit_phase
 
 __all__ = [
     "GaussianPacketSpec",
@@ -115,10 +115,11 @@ def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> Spectra
                              egrid=egrid, m=spec.m)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _initial_values(spec: GaussianPacketSpec, egrid: EnergyGrid) -> np.ndarray:
-    """Read-only amplitude values of ``sc_initial_amplitude``; one (packet,
-    grid) pair is kept, so the models of a sweep share one array."""
+    """Read-only amplitude values of ``sc_initial_amplitude``; two (packet,
+    grid) pairs are kept, so every height of a sweep shares one array per
+    energy grid (the ``sts`` grid and the Kijowski models' grid)."""
     E = egrid.samples
     P = np.sqrt(2.0 * spec.m * E)
     values = (spec.m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
@@ -128,11 +129,27 @@ def _initial_values(spec: GaussianPacketSpec, egrid: EnergyGrid) -> np.ndarray:
 
 E_FLOOR = 1e-9  # lowest admissible grid energy; (m/2E)^(1/4) blows up at 0
 
+# the default energy count, and the smaller one of an amplitude analytic in E
+# while its kernel phase step across the time window stays within pi / 8
+_DEFAULT_N, _ANALYTIC_N, _ANALYTIC_PHASE_STEP = 2**14, 2**12, np.pi / 8
 
-def default_energy_grid(spec: GaussianPacketSpec) -> EnergyGrid:
-    """2**14 energies covering p_i +/- 10 momentum widths, mapped to E = P^2/2m."""
+
+def default_energy_grid(spec: GaussianPacketSpec, window: TimeGrid | None = None) -> EnergyGrid:
+    """Energies covering p_i +/- 10 momentum widths, mapped to E = P^2/2m.
+
+    2**14 of them, unless ``window`` is given: the time window of a model
+    whose amplitude is analytic in E (the Kijowski models, but not ``sts``,
+    whose amplitude has a square-root branch point at each level).  The
+    end-corrected energy->time sum of ``numerics`` resolves such a model on
+    2**12 energies as long as their phase step dE (t_max - t_min) is at most
+    pi / 8, and a wider window keeps 2**14.
+    """
     p_lo = spec.p_i - 10.0 * spec.sigma_p
     p_hi = spec.p_i + 10.0 * spec.sigma_p
     e_lo = max(E_FLOOR, p_lo**2 / (2.0 * spec.m)) if p_lo > 0 else E_FLOOR
     e_hi = p_hi**2 / (2.0 * spec.m)
-    return EnergyGrid(e_lo, e_hi, 2**14)
+    if window is not None:
+        grid = EnergyGrid(e_lo, e_hi, _ANALYTIC_N)
+        if grid.spacing * (window.t_max - window.t_min) <= _ANALYTIC_PHASE_STEP:
+            return grid
+    return EnergyGrid(e_lo, e_hi, _DEFAULT_N)

@@ -11,9 +11,11 @@ byte-identical CSV and SVG output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,10 +23,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolution import (TOADistribution, barrier_amplitude, check_scattering_setup,
-                        free_kijowski, toa_density)
+                        free_kijowski)
 from .kijowski import model_distance, transmitted_amplitude
-from .numerics import EnergyGrid, TimeGrid, trapezoid_complex
-from .packet import GaussianPacketSpec, default_energy_grid
+from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t, trapezoid_complex
+from .packet import GaussianPacketSpec, SpectralAmplitude, default_energy_grid
 from .potential import PiecewisePotential
 from .svgplot import Curve, Panel, render_svg
 
@@ -44,6 +46,10 @@ _CURVES = {"sts": ("solid", "STS"),
            "kijowski_free": ("dotted", "Kijowski (free)")}
 
 MODEL_NAMES = (*_CURVES, "flux_oracle")
+
+# the models whose amplitudes are analytic in E, which run on the smaller
+# default energy grid of ``default_energy_grid(packet, tgrid)``
+_ANALYTIC_MODELS = ("kijowski_transmitted", "kijowski_free")
 
 _CSV_HEADER = ",".join(["t", *(f"rho_{name}" for name in _CURVES), "flux"])
 _CSV_BLOCK = 256  # rows per formatted block
@@ -219,8 +225,14 @@ class ScenarioConfig:
         n = _METHOD_RE.match(self.method).group(2)
         return None if n is None else int(n)
 
-    def energy_grid(self) -> EnergyGrid:
-        return self.egrid if self.egrid is not None else default_energy_grid(self.packet)
+    def energy_grid(self, model: str = "sts") -> EnergyGrid:
+        """The energy grid ``model`` runs on: the config's ``egrid`` when it
+        gives one, else the default grid, which for the Kijowski models
+        depends on the time window (``packet.default_energy_grid``)."""
+        if self.egrid is not None:
+            return self.egrid
+        return default_energy_grid(self.packet,
+                                   self.tgrid if model in _ANALYTIC_MODELS else None)
 
     @classmethod
     def from_dict(cls, raw: dict, forced: dict | None = None) -> "ScenarioConfig":
@@ -348,29 +360,45 @@ def _slices_cut_at_edges(cfg: ScenarioConfig, v0: float) -> bool:
     return all(np.array_equal(s, e) for s, e in zip(sliced, exact))
 
 
-def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
-                    free_dist: TOADistribution | None) -> SweepPoint:
+def _density(amps: SpectralAmplitude, tgrid: TimeGrid, glue) -> TOADistribution:
+    """``toa_density(amps, tgrid)``, with the energy->time transform run
+    outside the context ``glue`` and the density assembled inside it."""
+    series = fourier_E_to_t(amps.values, amps.egrid, tgrid)
+    with glue:
+        return TOADistribution.from_transform(amps, series, tgrid)
+
+
+def _evaluate_point(cfg: ScenarioConfig, v0: float, grids: tuple[EnergyGrid, EnergyGrid],
+                    free_dist: TOADistribution | None, glue) -> SweepPoint:
+    """Every requested model at height v0; ``grids`` are the energy grids of
+    ``sts`` and of transmitted Kijowski, and everything but the energy->time
+    transforms and the grid solver runs inside the context ``glue``."""
     dists: dict[str, TOADistribution] = {}
-    setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x, egrid)
-    closed = None
+    sts_grid, kijowski_grid = grids
+    setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x)
+    closed = None  # the closed-form amplitude on the Kijowski grid
     if "sts" in cfg.models:
-        sts = barrier_amplitude(*setup, n_slices=cfg.n_slices)
-        dists["sts"] = toa_density(sts, cfg.tgrid)
-        if _slices_cut_at_edges(cfg, v0):
-            closed = sts
+        with glue:
+            sts = barrier_amplitude(*setup, sts_grid, n_slices=cfg.n_slices)
+            if sts_grid == kijowski_grid and _slices_cut_at_edges(cfg, v0):
+                closed = sts
+        dists["sts"] = _density(sts, cfg.tgrid, glue)
     if "kijowski_transmitted" in cfg.models:
         # the Kijowski amplitude is the closed-form sts amplitude times R(E);
-        # slices that cut the path elsewhere need the closed form built apart
-        if closed is None:
-            closed = barrier_amplitude(*setup)
-        dists["kijowski_transmitted"] = toa_density(
-            transmitted_amplitude(closed, v0, cfg.barrier_length), cfg.tgrid)
+        # another grid, or slices that cut the path elsewhere, need the
+        # closed form built apart
+        with glue:
+            if closed is None:
+                closed = barrier_amplitude(*setup, kijowski_grid)
+            kijowski = transmitted_amplitude(closed, v0, cfg.barrier_length)
+        dists["kijowski_transmitted"] = _density(kijowski, cfg.tgrid, glue)
     if free_dist is not None:
         dists["kijowski_free"] = free_dist
     flux = _flux_oracle_series(cfg, v0) if "flux_oracle" in cfg.models else None
     distance = None
     if all(name in dists for name in COMPARED_PAIR):
-        distance = model_distance(*(dists[name] for name in COMPARED_PAIR))
+        with glue:
+            distance = model_distance(*(dists[name] for name in COMPARED_PAIR))
     return SweepPoint(v0=v0, distributions=dists, flux=flux,
                       distance_sts_kijowski=distance)
 
@@ -378,29 +406,37 @@ def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
 def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     """Evaluate every requested model at every barrier height.
 
-    At each height the transmitted Kijowski model multiplies the closed-form
-    ``sts`` amplitude by R(E).  Under ``slices:<n>`` that amplitude is the
-    sliced one when the slices give exactly the closed form's levels and
-    widths, and is built apart otherwise.
+    Each model runs on ``cfg.energy_grid(model)``: without an ``egrid`` in
+    the config, the Kijowski models run on a smaller grid than ``sts``.  At
+    each height the transmitted Kijowski model multiplies the closed-form
+    ``sts`` amplitude on its grid by R(E).  When both models share the grid,
+    that amplitude is the ``sts`` one, under ``slices:<n>`` too if the
+    slices give exactly the closed form's levels and widths; otherwise it is
+    built apart.
 
-    Points may be evaluated concurrently (``max_workers`` > 1); results are
-    assembled in the config's ascending V0 order either way, so output is
-    deterministic.
+    Points may be evaluated concurrently (``max_workers`` > 1).  The NumPy
+    glue of a height (amplitudes, densities, distances) is made of many
+    short calls that would stall the workers on the GIL at each one, so it
+    runs under one lock, and the workers overlap only their energy->time
+    transforms with it.  Results are assembled in the config's ascending V0
+    order either way, so output is deterministic.
     """
-    egrid = cfg.energy_grid()
+    grids = (cfg.energy_grid("sts"), cfg.energy_grid("kijowski_transmitted"))
     free_dist = None
     if "kijowski_free" in cfg.models:
         free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid,
-                                  egrid=egrid)
+                                  egrid=cfg.energy_grid("kijowski_free"))
     if max_workers > 1 and len(cfg.v0_list) > 1:
         # imported here: with the logging it loads, it costs a cold CLI ~4-5 ms
         from concurrent.futures import ThreadPoolExecutor
 
+        glue = threading.Lock()
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             points = list(pool.map(
-                lambda v0: _evaluate_point(cfg, v0, egrid, free_dist), cfg.v0_list))
+                lambda v0: _evaluate_point(cfg, v0, grids, free_dist, glue), cfg.v0_list))
     else:
-        points = [_evaluate_point(cfg, v0, egrid, free_dist) for v0 in cfg.v0_list]
+        glue = contextlib.nullcontext()
+        points = [_evaluate_point(cfg, v0, grids, free_dist, glue) for v0 in cfg.v0_list]
     return ScenarioResult(config=cfg, points=points)
 
 

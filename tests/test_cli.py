@@ -149,6 +149,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("config error: packet:")
 
+    # a window this long would advance a 2**12 grid's kernel phase by 3.42
+    # rad (> pi), so the Kijowski models keep 2**14 energies there
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_long_window_keeps_the_fine_kijowski_grid(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2",
+                                    "tgrid": {"t_min": 0, "t_max": 7000, "n": 4096}}))
+        code, out, err = run_cli(capsys, "compare", "--config", str(path), "--v0", "1.8")
+        assert code == 0 and err == ""
+        (point,) = json.loads(out)["points"]
+        assert set(point["arrival_probability"]) == {"sts", "kijowski_transmitted",
+                                                     "kijowski_free"}
+
     # below V0 the barrier exponent kappa L is a decay, not a phase: at
     # V0 = 1e30 it is ~1.4e16 but only makes the barrier opaque
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -202,6 +202,39 @@ class TestAmplitudeIdentity:
             self._assert_matches(pt.distributions["kijowski_transmitted"], reference[pt.v0])
 
 
+# the bound on the default-grid Kijowski densities against 2**17 energies:
+# measured 4.1e-16 (window [0, 150]) and 5.5e-16 (window [0, 800]) on 2**12
+# end-corrected energies, where a plain trapezoid on 2**14 is 6.3e-14 off
+DEFAULT_GRID_BOUND = 1e-15
+
+
+class TestDefaultGridAccuracy:
+    """The Kijowski models on their default grid (2**12 energies while the
+    phase step dE (t_max - t_min) stays within pi / 8) against the same
+    span at 2**17, at every height of a 32-height sweep; 800 is just inside
+    the window rule's edge for fig2 (~804)."""
+
+    @pytest.mark.parametrize("t_max", [150.0, 800.0])
+    def test_within_the_fine_grid(self, t_max):
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 32)]
+        cfg = ScenarioConfig.from_dict({
+            "preset": "fig2", "barrier": {"v0": heights},
+            "tgrid": {"t_min": 0.0, "t_max": t_max, "n": 4096},
+            "models": ["kijowski_transmitted", "kijowski_free"]})
+        coarse = cfg.energy_grid("kijowski_transmitted")
+        assert coarse.n == 2**12
+        fine = EnergyGrid(coarse.e_min, coarse.e_max, 2**17)
+        result = run_scenario(cfg)
+        spec, length, x = cfg.packet, cfg.barrier_length, cfg.detector_x
+        free = free_kijowski(spec, x, cfg.tgrid, egrid=fine).density
+        worst = [np.max(np.abs(result.points[0].distributions["kijowski_free"].density - free))]
+        for pt in result.points:
+            ref = transmitted_kijowski(spec, pt.v0, length, x, cfg.tgrid, egrid=fine)
+            rho = pt.distributions["kijowski_transmitted"].density
+            worst.append(np.max(np.abs(rho - ref.density)))
+        assert max(worst) < DEFAULT_GRID_BOUND
+
+
 class TestModelDistance:
     def test_identical_is_zero(self, spec, tgrid):
         d = free_kijowski(spec, 50.0, tgrid)

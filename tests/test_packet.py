@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sts_toa.numerics import EnergyGrid
+from sts_toa.numerics import EnergyGrid, TimeGrid
 from sts_toa.packet import (GaussianPacketSpec, SpectralAmplitude,
                             default_energy_grid, psi_momentum, psi_position,
                             sc_initial_amplitude)
@@ -91,6 +91,16 @@ class TestInitialAmplitude:
         e0 = spec.p_i**2 / (2.0 * spec.m)
         assert g.e_min < e0 < g.e_max
         assert g.n == 2**14
+
+    # an amplitude analytic in E gets 2**12 energies on the same span while
+    # dE (t_max - t_min) <= pi / 8, i.e. up to a window ~804 wide for fig2
+    @pytest.mark.parametrize("t_max, n", [(150.0, 2**12), (804.0, 2**12),
+                                          (805.0, 2**14), (7000.0, 2**14)])
+    def test_window_sizes_the_analytic_grid(self, spec, t_max, n):
+        g = default_energy_grid(spec, TimeGrid(0.0, t_max, 4096))
+        assert g.n == n
+        assert (g.e_min, g.e_max) == (default_energy_grid(spec).e_min,
+                                      default_energy_grid(spec).e_max)
 
 
 class TestSpectralAmplitude:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +19,24 @@ DATA = Path(__file__).parent / "data"
 
 def fig2(**overrides):
     return ScenarioConfig.from_dict({"preset": "fig2", **overrides})
+
+
+def _densities(result):
+    """The first sweep point's density per model."""
+    return {name: dist.density for name, dist in result.points[0].distributions.items()}
+
+
+def _count_propagations(monkeypatch):
+    """The argument tuples of every later ``evolution.propagate`` call."""
+    calls = []
+    propagate = evolution.propagate
+
+    def counted(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(evolution, "propagate", counted)
+    return calls
 
 
 class TestConfigParsing:
@@ -115,30 +134,59 @@ class TestRun:
         assert len(outputs[0][0]) == 4
         assert outputs[0] == outputs[1]
 
-    # 50 slices of [0, 50] give the closed form's levels and widths, so the
-    # sliced amplitude is the closed form and serves Kijowski too; 50 / 7
-    # lands no cut on the barrier edge x = 10, and 50 / 385 lands one there
-    # to rounding but misses the closed form's widths by ~1e-15, so both
-    # translate the closed form apart
+    # more workers than cores and a short switch interval, so that workers
+    # interleave inside the shared caches (chirp-z plans per time grid,
+    # initial amplitudes, free flights), which a run on another time grid
+    # has just emptied of this run's plans
+    def test_threads_fill_the_shared_caches_without_lost_updates(self):
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 8)]
+        cfg = fig2(barrier={"v0": heights}, tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256})
+        serial = run_scenario(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_scenario(fig2(barrier={"v0": [1.8]},
+                              tgrid={"t_min": 0.0, "t_max": 150.0, "n": 128}))
+            threaded = run_scenario(cfg, max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.summary() == serial.summary()
+        for a, b in zip(threaded.points, serial.points):
+            for name, dist in a.distributions.items():
+                assert np.array_equal(dist.density, b.distributions[name].density)
+
+    # on an explicit egrid (here fig2's default span at 2**14 energies) both
+    # transmitted-packet models run on it; 50 slices of [0, 50] give the
+    # closed form's levels and widths, so the sliced amplitude is the closed
+    # form and serves Kijowski too; 50 / 7 lands no cut on the barrier edge
+    # x = 10, and 50 / 385 lands one there to rounding but misses the closed
+    # form's widths by ~1e-15, so both translate the closed form apart
     @pytest.mark.parametrize("n_slices, translations", [(50, 1), (7, 2), (385, 2)])
     def test_slices_reuse_the_closed_form_only_at_the_edges(self, monkeypatch,
                                                             n_slices, translations):
-        closed = run_scenario(fig2(barrier={"v0": [1.8]})).points[0].distributions
-        calls = []
-        propagate = evolution.propagate
-
-        def counted(*args):
-            calls.append(args)
-            return propagate(*args)
-
-        monkeypatch.setattr(evolution, "propagate", counted)
-        sliced = run_scenario(fig2(barrier={"v0": [1.8]}, method=f"slices:{n_slices}"))
+        shared = {"e_min": 1.125, "e_max": 3.125, "n": 2**14}
+        closed = run_scenario(fig2(barrier={"v0": [1.8]}, egrid=shared))
+        calls = _count_propagations(monkeypatch)
+        sliced = run_scenario(fig2(barrier={"v0": [1.8]}, egrid=shared,
+                                   method=f"slices:{n_slices}"))
         assert len(calls) == translations
-        rho = {name: dist.density for name, dist in sliced.points[0].distributions.items()}
+        rho = _densities(sliced)
         assert set(rho) == {"sts", "kijowski_transmitted", "kijowski_free"}
         for name in ("kijowski_transmitted", "kijowski_free"):
-            assert np.array_equal(rho[name], closed[name].density)
-        assert np.array_equal(rho["sts"], closed["sts"].density) == (translations == 1)
+            assert np.array_equal(rho[name], _densities(closed)[name])
+        assert np.array_equal(rho["sts"], _densities(closed)["sts"]) == (translations == 1)
+
+    # without an egrid the Kijowski models run on 2**12 energies and sts on
+    # 2**14, so a height translates once per model even where 50 slices give
+    # the closed form; each model still matches the closed run bit for bit
+    def test_default_grid_translates_kijowski_apart(self, monkeypatch):
+        closed = _densities(run_scenario(fig2(barrier={"v0": [1.8]})))
+        calls = _count_propagations(monkeypatch)
+        rho = _densities(run_scenario(fig2(barrier={"v0": [1.8]}, method="slices:50")))
+        assert [amps.egrid.n for amps, *_ in calls] == [2**14, 2**12]
+        assert rho.keys() == closed.keys()
+        for name in rho:
+            assert np.array_equal(rho[name], closed[name])
 
 
 class TestCsv:

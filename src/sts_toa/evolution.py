@@ -10,7 +10,7 @@ edges (the closed form) or into equal slices with V taken at each slice
 midpoint, so it costs one factor per distinct level whatever the slice count.
 The zero-level factor is the free flight; behind a square barrier it is the
 same at every height, so the heights of a sweep share one (read-only, cached)
-array per energy grid.
+array.
 
 Every factor is formed in real arithmetic.  The ascending energy grid splits
 at each level: E >= V_v from index searchsorted(E, V_v) on, E < V_v before
@@ -21,6 +21,11 @@ below it, where the factor is the decay exp(-W_v kappa_v).  The growth
 exponents -W_v kappa_v below the splits are summed and checked before any
 exponential is formed.  The free packet's detector phase exp(i P x) is a
 unit phase of the same helper.
+
+A level inside the energy window is a square-root branch point of the
+amplitude, so ``propagate`` records it with its summed width in the result's
+``branch_points``, and the amplitude's energy sums are corrected there
+(``SpectralAmplitude``).
 
 The translation generates no reflected (backward-moving) component at segment
 interfaces: forbidden segments only attenuate the forward amplitude.  Whether
@@ -93,14 +98,16 @@ class TOADistribution:
     @classmethod
     def from_transform(cls, amps: SpectralAmplitude, series: np.ndarray,
                        tgrid: TimeGrid) -> "TOADistribution":
-        """The density |series|^2 of ``amps``'s time amplitude ``series`` on
-        ``tgrid``, scaled to unit integral, with ``amps``'s arrival
-        probability; ZeroArrival if that probability or the density's mass
-        inside the window is below 1e-300."""
+        """The density of ``amps``'s time amplitude on ``tgrid``, scaled to
+        unit integral, with ``amps``'s arrival probability; ``series`` is the
+        energy->time sum of ``amps.values`` on ``tgrid``, and the amplitude is
+        that sum corrected at ``amps``'s branch points
+        (``SpectralAmplitude.branch_corrected``).  ZeroArrival if the arrival
+        probability or the density's mass inside the window is below 1e-300."""
         arrival = amps.arrival_probability()
         if arrival < _ARRIVAL_FLOOR:
             raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
-        density = np.abs(series) ** 2
+        density = np.abs(amps.branch_corrected(series, tgrid)) ** 2
         norm = float(trapezoid_complex(density, tgrid.spacing).real)
         if norm < _ARRIVAL_FLOOR:
             raise ZeroArrival(f"no density mass inside the time window at x = {amps.anchor_x}")
@@ -142,12 +149,11 @@ def _level_factors(E: np.ndarray, m: float, levels, widths) -> list[np.ndarray]:
     return factors
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _free_flight(egrid: EnergyGrid, m: float, width: float) -> np.ndarray:
     """Read-only level-zero factor exp(i W sqrt(2 m E)) of a free flight over
-    the signed width W; two (grid, mass, width) are kept, so a sweep's
-    heights share one per energy grid (the ``sts`` grid and the Kijowski
-    models' grid)."""
+    the signed width W; one (grid, mass, width) is kept, so a sweep's heights
+    share one."""
     (factor,) = _level_factors(egrid.samples, m, [0.0], [width])
     factor.flags.writeable = False
     return factor
@@ -163,6 +169,8 @@ def propagate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
     slice width.  The factors depend on the cut only through the (levels,
     widths) table that ``pot.levels`` returns, so two cuts with equal tables
     give bit-identical amplitudes; the cost does not depend on the slice count.
+    The levels inside the energy window join ``amps.branch_points``, their
+    widths added to those already recorded there.
     """
     egrid = amps.egrid
     levels, widths = pot.levels(amps.anchor_x, x, n_slices)
@@ -173,7 +181,13 @@ def propagate(amps: SpectralAmplitude, pot: PiecewisePotential, x: float,
     values = amps.values.copy()
     for factor in factors:
         values *= factor
-    return SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=amps.m)
+    points = dict(amps.branch_points)
+    for v, w in zip(levels.tolist(), widths.tolist()):
+        if egrid.e_min <= v <= egrid.e_max:
+            points[v] = points.get(v, 0.0) + w
+    return SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=amps.m,
+                             branch_points=tuple((v, w) for v, w in sorted(points.items())
+                                                 if w != 0.0))
 
 
 def toa_density(amps: SpectralAmplitude, tgrid: TimeGrid,
@@ -198,8 +212,8 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     energy variable, (m/2E)^(1/4) psi_momentum), phase-shifted to the detector
     and transformed to the time domain.  Coincides with the zero-potential
     translation pipeline; the two paths are kept separate as a cross-check.
-    Without ``egrid`` it runs on the Kijowski models' default grid for the
-    window ``tgrid`` (``default_energy_grid(spec, tgrid)``).  Raises
+    Without ``egrid`` it runs on the default grid of the window ``tgrid``
+    (``default_energy_grid(spec, tgrid)``).  Raises
     ConfigError unless the packet's momenta are essentially positive
     (``GaussianPacketSpec.has_positive_momenta``).
     """
@@ -240,6 +254,8 @@ def barrier_toa(spec: GaussianPacketSpec, v0: float, length: float, x: float,
                 tgrid: TimeGrid, egrid: EnergyGrid | None = None,
                 method: str = "fft") -> TOADistribution:
     """Space-conditional arrival-time density behind a square barrier: the
-    density of ``barrier_amplitude`` at the detector x > length."""
+    density of ``barrier_amplitude`` at the detector x > length, by default
+    on the grid ``default_energy_grid(spec, tgrid)`` of the window ``tgrid``."""
+    egrid = egrid if egrid is not None else default_energy_grid(spec, tgrid)
     amps = barrier_amplitude(spec, v0, length, x, egrid)
     return toa_density(amps, tgrid, method=method)

@@ -128,7 +128,7 @@ def transmitted_amplitude(sts: SpectralAmplitude, v0: float,
 
     ``sts`` must be the closed-form ``barrier_amplitude`` of the same packet
     and barrier (v0 on (0, length)) at its anchor x > length; the result is
-    it times R(E).
+    it times R(E).  T is analytic in E, so the result records no branch point.
     """
     E = sts.egrid.samples
     kappa = np.subtract(E, v0)
@@ -148,10 +148,11 @@ def transmitted_kijowski(spec: GaussianPacketSpec, v0: float, length: float,
                          method: str = "fft") -> TOADistribution:
     """Kijowski arrival-time density of the transmitted packet at x > L.
 
-    Sampled on ``egrid`` (momenta P = sqrt(2mE)), by default the Kijowski
-    models' grid for the window ``tgrid`` (``default_energy_grid(spec,
-    tgrid)``); the density lies on ``tgrid`` as the space-conditional one
-    does, so model distances carry no interpolation error.  The reported
+    Sampled on ``egrid`` (momenta P = sqrt(2mE)), by default the grid of the
+    window ``tgrid`` (``default_energy_grid(spec, tgrid)``) that the
+    space-conditional model runs on too; the density lies on ``tgrid`` as
+    the space-conditional one does, so model distances carry no
+    interpolation error.  The reported
     arrival probability is the transmission probability
     integral |T(P) psi_momentum(P)|^2 dP.
     """

@@ -29,12 +29,43 @@ an AVX-512 x86-64 core (NumPy 2.4), ``tan`` took 1.5 ns per element,
 ``unit_phase`` into a preallocated output 5.6 ns against 40 ns for cos and
 sin written into one.  The direct quadrature keeps ``np.exp``, so it stays
 an independent check of the chirp-z path.
+
+Behind a level v inside the energy window an amplitude carries
+exp(i W k'), k' = sqrt(2m[E - v]), which has a square-root branch point at
+E = v, and there the sums above converge only as dE^(3/2).  With
+exp(i W k') = cos(W k') + i k' S(E), S = sin(W k') / k', both cos(W k') and
+S are entire in E, so the part of the integrand that is not analytic is
+sqrt(2m) [i (E - v)_+^(1/2) - (v - E)_+^(1/2)] H(E), with
+H = a exp(-i W k') S exp(-i E t).  The generalised Euler-Maclaurin
+expansion of I. Navot (J. Math. Phys. 40, 271 (1961)), taken off the nodes
+with the Hurwitz zeta function as J. N. Lyness and B. W. Ninham do
+(Math. Comp. 21, 162 (1967)), gives the excess of the sum over the
+integral at that point: with E[k - 1] < v <= E[k], theta_r = (E[k] - v) / dE
+and theta_l = (v - E[k - 1]) / dE (1 - theta_r but for the samples'
+rounding),
+
+    sum - integral = (2 pi)^(-1/2) sqrt(2m) sum_j H^(j)(v) / j! dE^(j + 3/2)
+                     [i zeta(-1/2 - j, theta_r) - (-1)^j zeta(-1/2 - j, theta_l)].
+
+H's t-dependence is exp(-i v t) times a polynomial in t, so ``branch_terms``
+turns the series (j < 6) into one unit phase and one Horner pass over the
+time grid (``BranchTerms.series``).  For the integral of |a|^2 only the
+side below v is singular: with v - E = dE w^2, |a|^2 there is
+|r|^2 exp(-2 W sqrt(2m dE) w), r = a exp(-i W k'), and the sum's excess is
+dE sum_n c_n zeta(-n/2, theta_l) over the coefficients c_n of w^n
+(n <= 10) in |r|^2 (exp(-2 W sqrt(2m dE) w) - 1).  On fig2's default grid
+of 2**12 energies the terms take the amplitude behind a level from
+~1e-5 to ~1e-15 of the grid-free integral on a window [0, 150], and the
+arrival probability to rounding.  ``_hurwitz_zeta`` is Euler-Maclaurin
+summation (SciPy's zeta takes only s > 1).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +77,8 @@ __all__ = [
     "unit_phase",
     "trapezoid_complex",
     "fourier_E_to_t",
+    "BranchTerms",
+    "branch_terms",
 ]
 
 
@@ -164,28 +197,7 @@ def _fft_size(length: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _plans(tgrid: TimeGrid) -> dict:
-    """The chirp-z plans on ``tgrid``, by energy grid (``_plan``)."""
-    return {}
-
-
 def _plan(egrid: EnergyGrid, tgrid: TimeGrid):
-    """The read-only chirp-z plan of the grid pair, built on first use.
-
-    The latest time grid's plans are kept, for at most two energy grids (a
-    sweep's ``sts`` grid and the Kijowski models' grid), so a sweep builds
-    each plan once, and a run on a new time grid drops the previous run's
-    plans as it builds its own."""
-    plans = _plans(tgrid)
-    plan = plans.get(egrid)
-    if plan is None:
-        if len(plans) >= 2:
-            plans.clear()
-        plan = plans[egrid] = _build_plan(egrid, tgrid)
-    return plan
-
-
-def _build_plan(egrid: EnergyGrid, tgrid: TimeGrid):
     """Bluestein chirp-z plan of the energy->time sum on one grid pair.
 
     With theta = -dE dt and phi = -dE t_min, jk = (j^2 + k^2 - (k - j)^2) / 2
@@ -195,6 +207,7 @@ def _build_plan(egrid: EnergyGrid, tgrid: TimeGrid):
     FFT of the conjugate-chirp kernel, and the per-time factor (chirp, the
     e_min phase, dE / sqrt(2 pi)).  The chirp's phase is computed from theta:
     a power of exp(i theta) would amplify that factor's rounding error by j^2.
+    One plan is kept, so a sweep on one grid pair builds it once.
     """
     # sum_j a_j exp(-i (E_j - e_min) t_k); the e_min phase goes into post
     n, m = egrid.n, tgrid.n
@@ -231,7 +244,7 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
     method="fft" evaluates the quadrature sum with a chirp-z transform
     (FFT-based, exact same sum) padded to the smallest 2**a, 3 * 2**a or
     5 * 2**a >= n_E + n_t - 1; its plan is built once per grid pair and
-    reused while calls stay on the pair (``_plan``).  method="direct"
+    reused while consecutive calls share the pair.  method="direct"
     accumulates the sum explicitly, one kernel row at a time: an exact row
     every 32 time rows, and the rows between stepped by exp(-i E dt).
     """
@@ -268,3 +281,174 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
         np.fft.ifft(buf, out=buf)
         return buf[:tgrid.n] * post
     raise ValueError(f"unknown method {method!r}")
+
+
+# B_2r / 2r for r = 1 ... 10, the Bernoulli numbers of _hurwitz_zeta's tail
+_BERNOULLI = np.array([b / (2 * r) for r, b in enumerate(
+    [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330], start=1)])
+_ZETA_DIRECT = np.arange(10.0)  # the terms (k + a)^-s summed before the tail
+_ZETA_POWERS = np.arange(-2.0, -21.0, -2.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _zeta_tail(s: tuple) -> np.ndarray:
+    """B_2r / (2r)! s (s + 1) ... (s + 2r - 2), r = 1 ... 10, for each s."""
+    s = np.array(s)[:, None]
+    i = np.arange(2 * len(_BERNOULLI) - 1)
+    return _BERNOULLI * np.cumprod((s + i) / (i + 1), axis=-1)[:, ::2]
+
+
+def _hurwitz_zeta(s, a):
+    """Hurwitz zeta(s, a) = sum_{k >= 0} (k + a)^-s, continued analytically,
+    for real s < 1 and a >= 0, elementwise.
+
+    With N = 10 terms summed directly and z = N + a, the Euler-Maclaurin
+    formula gives zeta(s, a) = sum_{k < N} (k + a)^-s + z^(1 - s) [1 / (s - 1)
+    + 1 / (2z) + sum_{r = 1..10} B_2r / (2r)! s (s + 1) ... (s + 2r - 2) z^-2r];
+    the last term is below 1e-15 of the first for -6 <= s < 1, and at a
+    negative integer s the tail ends, so the sum is -B_{1-s}(a) / (1 - s).
+    The direct terms cancel the z^(1 - s) one to ~1e-16 z^(1 - s) absolute.
+    A term with k + a = 0 is 0 for s < 0, so zeta(s, 0) = zeta(s, 1) there.
+    """
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(a, dtype=float))
+    tail = _zeta_tail(tuple(s.ravel().tolist())).reshape(s.shape + _ZETA_POWERS.shape)
+    z = a + len(_ZETA_DIRECT)
+    tail = np.sum(tail * z[..., None] ** _ZETA_POWERS, axis=-1)
+    tail += 1.0 / (s - 1.0) + 0.5 / z
+    return np.sum((a[..., None] + _ZETA_DIRECT) ** -s[..., None], axis=-1) + z ** (1.0 - s) * tail
+
+
+# the branch-point series: r's Taylor coefficients at the level come from a
+# degree-7 least-squares fit to the 12 samples nearest it; the time terms run
+# to order dE^(13/2) (j < 6), the norm terms to dE^6 (n <= 10).  The tables
+# below are built from Python numbers: each NumPy loop a process runs for the
+# first time pages in its code, and the same tables built by ~20 small NumPy
+# operations added ~0.9 MiB to the resident set of every importing process
+_STENCIL, _FIT_DEGREE, _TIME_ORDERS, _NORM_ORDERS = 12, 7, 6, 10
+_STENCIL_EXPONENT = 700.0  # exp(W kappa) on the stencil overflows past ~709
+_HALF = _STENCIL // 2
+
+
+def _fit_matrix() -> np.ndarray:
+    """The least-squares fit of degree 7 to samples at y = -6 ... 5: the map
+    from the 12 values to the coefficients of y^0 ... y^7.
+
+    Built from the polynomials orthonormal on the nodes (in y / 6), by the
+    Stieltjes recurrence p_(j+1) ~ (y - alpha_j) p_j - beta_j p_(j-1), which
+    needs no linear solve: LAPACK's SVD would add ~1.5 MiB to the resident
+    set of every process that imports the package.
+    """
+    y = [i / _HALF for i in range(-_HALF, _HALF)]
+    start = 1.0 / math.sqrt(_STENCIL)
+    values = [[start] * _STENCIL]  # p_j at the nodes
+    coefs = [[start] + [0.0] * _FIT_DEGREE]  # p_j's coefficients of (y / 6)^m
+    beta = 0.0
+    for j in range(_FIT_DEGREE):
+        p, c = values[j], coefs[j]
+        p0, c0 = (values[j - 1], coefs[j - 1]) if j else ([0.0] * _STENCIL, [0.0] * len(c))
+        alpha = sum(yi * pi * pi for yi, pi in zip(y, p))
+        v = [(yi - alpha) * pi - beta * qi for yi, pi, qi in zip(y, p, p0)]
+        w = [(c[m - 1] if m else 0.0) - alpha * c[m] - beta * c0[m] for m in range(len(c))]
+        beta = math.sqrt(sum(vi * vi for vi in v))
+        values.append([vi / beta for vi in v])
+        coefs.append([wi / beta for wi in w])
+    return np.array([[sum(c[m] * p[i] for c, p in zip(coefs, values)) / _HALF**m
+                      for i in range(_STENCIL)] for m in range(_FIT_DEGREE + 1)])
+
+
+def _table(rows, cols, entry, dtype=float) -> np.ndarray:
+    return np.array([[entry(r, c) for c in range(cols)] for r in range(rows)], dtype=dtype)
+
+
+# the fit's coefficients of y^m, y = (E - E_k) / dE; the binomials C(m, l)
+# and powers m - l that re-expand them about the level
+_FIT = _fit_matrix()
+_BINOMIAL = _table(_FIT_DEGREE + 1, _FIT_DEGREE + 1, lambda l, m: math.comb(m, l))
+_SHIFT = _table(_FIT_DEGREE + 1, _FIT_DEGREE + 1, lambda l, m: max(m - l, 0))
+_J = np.arange(float(_TIME_ORDERS))
+_ODD_FACTORIALS = np.array([float(math.factorial(2 * j + 1)) for j in range(_TIME_ORDERS)])
+_TIME_FACTORS = np.array([(-1j) ** j / math.factorial(j) for j in range(_TIME_ORDERS)])
+_SIGNS = np.array([(-1.0) ** j for j in range(_TIME_ORDERS)])
+# b_p = sum_l gamma_l z_(l + p) as one product with z padded by a 0
+_HANKEL = _table(_TIME_ORDERS, _TIME_ORDERS, lambda p, l: min(p + l, _TIME_ORDERS), int)
+# the zeta arguments: s = -1/2 - j at theta_r, then s = -n/2, n = 1 ... 11, at
+# theta_l, for both the time terms (odd n) and the norm terms (n <= 10)
+_ZETA_S = np.array([-0.5 - j for j in range(_TIME_ORDERS)]
+                   + [-0.5 * n for n in range(1, 2 * _TIME_ORDERS)])
+# c_n = sum_l (|r|^2)_l decay_(n - 2l) for n - 2l >= 1, as one product with
+# decay padded by a leading 0
+_NORM_N = np.arange(1.0, _NORM_ORDERS + 1.0)
+_NORM_FACTORIALS = np.array([float(math.factorial(n)) for n in range(1, _NORM_ORDERS + 1)])
+_NORM_INDEX = _table(_NORM_ORDERS, _NORM_ORDERS // 2, lambda n, l: max(n + 1 - 2 * l, 0), int)
+
+
+class BranchTerms(NamedTuple):
+    """What the energy sums of an amplitude exceed their integrals by at one
+    square-root branch point (``branch_terms``).
+
+    The excess of the energy->time sum is exp(-i level t) times the
+    polynomial sum_j poly[j] t^j; that of the trapezoid sum of |a|^2 is
+    ``norm``.
+    """
+
+    level: float
+    poly: np.ndarray
+    norm: float
+
+    def series(self, tgrid: TimeGrid) -> np.ndarray:
+        """The energy->time sum's excess at every time-grid point: one unit
+        phase and one Horner pass."""
+        t = tgrid.samples
+        tc = t.astype(complex)
+        out = np.full(t.shape, self.poly[-1])
+        for coef in self.poly[-2::-1]:
+            out *= tc
+            out += coef
+        out *= unit_phase(-self.level * t)
+        return out
+
+
+def branch_terms(values, egrid: EnergyGrid, m: float, level: float,
+                 width: float) -> BranchTerms | None:
+    """The branch-point terms (module docstring) of an amplitude a(E),
+    sampled as ``values`` on ``egrid``, that carries the factor
+    exp(i W k'), k' = sqrt(2m[E - level]), W = ``width``.
+
+    r = a exp(-i W k') is smooth at the level; its Taylor coefficients come
+    from a degree-7 least-squares fit to the 12 samples nearest the level.
+    None when those samples do not straddle it (a level within 6 samples of
+    a grid end), when W = 0, or when exp(W kappa) would overflow on them.
+    """
+    E, dE = egrid.samples, egrid.spacing
+    k = int(np.searchsorted(E, level))  # E[k - 1] < level <= E[k]
+    if width == 0.0 or not _HALF <= k <= egrid.n - _HALF:
+        return None
+    x = (E[k - _HALF:k + _HALF] - level) / dE
+    # each offset from its own sample: the samples' rounding can put
+    # E[k] - E[k - 1] past dE, and 1 - theta_r below 0
+    theta_r, theta_l = x[_HALF], -x[_HALF - 1]
+    kp = np.sqrt((2.0 * m * dE) * x.astype(complex))  # i kappa below the level
+    if width * kp.imag.max() > _STENCIL_EXPONENT:
+        return None
+    fit = _FIT @ (values[k - _HALF:k + _HALF] * np.exp(-1j * width * kp))
+    rho = (_BINOMIAL * (-theta_r) ** _SHIFT) @ fit  # r(level + x dE) = sum_l rho_l x^l
+    zeta = _hurwitz_zeta(_ZETA_S, np.array([theta_r] * _TIME_ORDERS
+                                           + [theta_l] * (len(_ZETA_S) - _TIME_ORDERS)))
+    zeta_r, zeta_l = zeta[:_TIME_ORDERS], zeta[_TIME_ORDERS:]
+    # S = sin(W k') / k' = W sum_j (-2m W^2 dE x)^j / (2j + 1)!, entire in E
+    sinc = width * (-2.0 * m * width**2 * dE) ** _J / _ODD_FACTORIALS
+    gamma = np.convolve(rho[:_TIME_ORDERS], sinc)[:_TIME_ORDERS]  # r S = sum gamma_l x^l
+    z = np.append(1j * zeta_r - _SIGNS * zeta_l[::2], 0.0)
+    # sum_j z_j H^(j)(level) dE^j / j!, H = r S exp(-i E t), in powers of t
+    poly = (z[_HANKEL] @ gamma) * _TIME_FACTORS * dE ** _J
+    poly *= np.sqrt(m / np.pi) * dE**1.5  # (2 pi)^(-1/2) sqrt(2m) dE^(3/2)
+    # with level - E = dE w^2, the part of |a|^2 that is not analytic is
+    # |r|^2 (exp(-beta w) - 1), beta = 2 W sqrt(2m dE), below the level; its
+    # coefficients c_n of w^n give the excess dE sum_n c_n zeta(-n/2, theta_l)
+    half = _NORM_ORDERS // 2
+    r2 = np.convolve(rho[:half], rho[:half].conj())[:half].real * _SIGNS[:half]  # of w^(2l)
+    decay = np.append(0.0, (-2.0 * width * np.sqrt(2.0 * m * dE)) ** _NORM_N
+                      / _NORM_FACTORIALS)  # of w^p, p >= 1
+    norm = dE * float(zeta_l[:_NORM_ORDERS] @ (decay[_NORM_INDEX] @ r2))
+    return BranchTerms(float(level), poly, norm)

@@ -1,9 +1,10 @@
 """Independent standard-QM cross-checks.
 
-Four tools that never touch the space-conditional solver: a transfer-matrix
+Five tools that never touch the space-conditional solver: a transfer-matrix
 transmission amplitude, a Crank-Nicolson grid propagator, the probability
-current sampled at a detector point, and the closed-form spreading Gaussian
-under a spatially uniform time-dependent potential.
+current sampled at a detector point, the closed-form spreading Gaussian
+under a spatially uniform time-dependent potential, and a grid-free
+reference for the energy->time integral behind a square barrier.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, UnstableConfig
-from .packet import GaussianPacketSpec, psi_position
+from .packet import GaussianPacketSpec, psi_momentum, psi_position
 from .potential import PiecewisePotential
 
 __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
            "transfer_matrix_T", "crank_nicolson_evolve", "flux_toa",
            "time_potential_solution", "barrier_oracle_config",
            "flux_oracle_config", "barrier_transmission_norm",
-           "transmitted_norm"]
+           "transmitted_norm", "energy_integral_reference"]
 
 # cap on the grid points and on the steps of one solver run; 2**20 is >= 40x
 # the largest grid any test or benchmark uses
@@ -498,3 +499,67 @@ def time_potential_solution(spec: GaussianPacketSpec, vt: Callable[[float], floa
     z = (np.asarray(x, dtype=float) - spec.x_i) / (2.0 * d) - 1j * spec.p_i * d
     return ((2.0 * np.pi * d**2) ** -0.25 / np.sqrt(w)
             * np.exp(-z**2 / w - (spec.p_i * d) ** 2 - 1j * v_phase))
+
+
+def _branch_nodes(e_min: float, e_max: float, v: float, m: float, panels: int,
+                  order: int):
+    """Gauss-Legendre nodes E, weights and k' = sqrt(2m[E - v]) on [e_min, e_max].
+
+    A v inside the span splits it, and each side is integrated in
+    u = sqrt(|E - v|), E = v +/- u^2, dE = 2u du, on ``panels`` equal panels
+    of ``order`` nodes; k' is sqrt(2m) u above v and i sqrt(2m) u below, so
+    an integrand smooth in E and k' is analytic in u.  Otherwise the span
+    takes 2 * ``panels`` panels in E.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def panel_nodes(lo, hi, count):
+        edges = np.linspace(lo, hi, count + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        return ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x).ravel(), \
+            (half * w).ravel()
+
+    if not e_min < v < e_max:
+        E, wE = panel_nodes(e_min, e_max, 2 * panels)
+        return E, wE, np.sqrt((2.0 * m * (E - v)).astype(complex))
+    nodes = []
+    for side, span in ((-1.0, v - e_min), (1.0, e_max - v)):
+        u, wu = panel_nodes(0.0, np.sqrt(span), panels)
+        nodes.append((v + side * u**2, 2.0 * u * wu,
+                      np.sqrt(2.0 * m) * u * (1j if side < 0 else 1.0)))
+    return tuple(np.concatenate(parts) for parts in zip(*nodes))
+
+
+def energy_integral_reference(spec: GaussianPacketSpec, v0: float, length: float,
+                              x: float, e_min: float, e_max: float, times,
+                              kijowski: bool = False, panels: int = 64,
+                              order: int = 64):
+    """Grid-free energy integrals of a transmitted amplitude at x > length.
+
+    Returns ``(f, p)``: f(t) = (2 pi)^(-1/2) integral a(E) exp(-i E t) dE at
+    each of ``times`` and p = integral |a(E)|^2 dE, both over
+    [e_min, e_max].  a is the space-conditional amplitude
+    (m/2E)^(1/4) psi_momentum(P) exp(i (x - L) P) exp(i L k'), with
+    P = sqrt(2mE) and k' = sqrt(2m[E - V0]) on the upper-half-plane branch,
+    or with ``kijowski`` the transmitted Kijowski amplitude, whose
+    exp(i L k') exp(-i L P) is replaced by ``transfer_matrix_T``'s T(P).
+    The quadrature is Gauss-Legendre in u with E = V0 +/- u^2
+    (``_branch_nodes``), which converges spectrally across the branch point
+    at E = V0 that a uniform energy grid resolves only to dE^(3/2).
+    """
+    if not x > length:
+        raise ValueError("the detector must lie beyond the barrier")
+    m = spec.m
+    E, w, kp = _branch_nodes(e_min, e_max, v0, m, panels, order)
+    P = np.sqrt(2.0 * m * E)
+    a = (m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
+    if kijowski:
+        a *= transfer_matrix_T(P, v0, length, m)[0] * np.exp(1j * x * P)
+    else:
+        a *= np.exp(1j * (x - length) * P) * np.exp(1j * length * kp)
+    wa = w * a
+    times = np.asarray(times, dtype=float)
+    f = np.empty(times.shape, dtype=complex)
+    for i in range(0, times.size, 64):
+        f.flat[i:i + 64] = np.exp(-1j * np.outer(times.flat[i:i + 64], E)) @ wa
+    return f / np.sqrt(2.0 * np.pi), float(np.dot(w, np.abs(a) ** 2))

@@ -10,11 +10,12 @@ implemented: no operational procedure to obtain it independently is known.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import EnergyGrid, TimeGrid, trapezoid_complex, unit_phase
+from .numerics import (BranchTerms, EnergyGrid, TimeGrid, branch_terms, trapezoid_complex,
+                       unit_phase)
 
 __all__ = [
     "GaussianPacketSpec",
@@ -63,12 +64,23 @@ class SpectralAmplitude:
     ``m`` rides along so downstream translations need no extra context.  A
     reflected (backward-moving) component is identically zero in the
     transmitted-particle workflows and is not represented.
+
+    ``branch_points`` lists (level V, summed width W) for each factor
+    exp(i W sqrt(2m[E - V])) the amplitude carries with e_min <= V <= e_max.
+    Each is a square-root branch point of a(E), where the energy sums
+    converge only as dE^(3/2); their generalised Euler-Maclaurin terms
+    (``numerics.branch_terms``) are formed on first use and subtracted from
+    the arrival probability and from the time amplitude
+    (``branch_corrected``).
     """
 
     values: np.ndarray
     anchor_x: float
     egrid: EnergyGrid
     m: float = 1.0
+    branch_points: tuple[tuple[float, float], ...] = ()
+    _terms: tuple[BranchTerms, ...] | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -77,11 +89,30 @@ class SpectralAmplitude:
         if not np.all(np.isfinite(values)):
             raise ValueError("amplitude values must be finite")
         object.__setattr__(self, "values", values)
+        points = tuple((float(v), float(w)) for v, w in self.branch_points)
+        object.__setattr__(self, "branch_points", points)
+
+    def _branch_terms(self) -> tuple[BranchTerms, ...]:
+        if self._terms is None:
+            terms = (branch_terms(self.values, self.egrid, self.m, v, w)
+                     for v, w in self.branch_points)
+            object.__setattr__(self, "_terms", tuple(t for t in terms if t is not None))
+        return self._terms
 
     def arrival_probability(self) -> float:
         """Probability that the particle ever arrives at ``anchor_x``: the
-        energy integral of |a(E)|^2 on the grid, with no time transform."""
-        return float(trapezoid_complex(np.abs(self.values) ** 2, self.egrid.spacing).real)
+        energy integral of |a(E)|^2 on the grid, with no time transform (the
+        trapezoid sum less the branch-point terms)."""
+        total = trapezoid_complex(np.abs(self.values) ** 2, self.egrid.spacing).real
+        return float(total - sum(t.norm for t in self._branch_terms()))
+
+    def branch_corrected(self, series: np.ndarray, tgrid: TimeGrid) -> np.ndarray:
+        """The time amplitude on ``tgrid`` from ``series``, the energy->time sum
+        of ``values`` there (``numerics.fourier_E_to_t``): ``series`` less the
+        sum's excess at each branch point, or ``series`` itself without one."""
+        for terms in self._branch_terms():
+            series = series - terms.series(tgrid)
+        return series
 
 
 def psi_position(spec: GaussianPacketSpec, x):
@@ -115,11 +146,10 @@ def sc_initial_amplitude(spec: GaussianPacketSpec, egrid: EnergyGrid) -> Spectra
                              egrid=egrid, m=spec.m)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _initial_values(spec: GaussianPacketSpec, egrid: EnergyGrid) -> np.ndarray:
-    """Read-only amplitude values of ``sc_initial_amplitude``; two (packet,
-    grid) pairs are kept, so every height of a sweep shares one array per
-    energy grid (the ``sts`` grid and the Kijowski models' grid)."""
+    """Read-only amplitude values of ``sc_initial_amplitude``; one (packet,
+    grid) pair is kept, so the models and heights of a sweep share one array."""
     E = egrid.samples
     P = np.sqrt(2.0 * spec.m * E)
     values = (spec.m / (2.0 * E)) ** 0.25 * psi_momentum(spec, P)
@@ -129,27 +159,26 @@ def _initial_values(spec: GaussianPacketSpec, egrid: EnergyGrid) -> np.ndarray:
 
 E_FLOOR = 1e-9  # lowest admissible grid energy; (m/2E)^(1/4) blows up at 0
 
-# the default energy count, and the smaller one of an amplitude analytic in E
-# while its kernel phase step across the time window stays within pi / 8
-_DEFAULT_N, _ANALYTIC_N, _ANALYTIC_PHASE_STEP = 2**14, 2**12, np.pi / 8
+# the default energy count, and the smaller one of a known time window while
+# its kernel phase step across that window stays within pi / 8
+_DEFAULT_N, _WINDOW_N, _WINDOW_PHASE_STEP = 2**14, 2**12, np.pi / 8
 
 
 def default_energy_grid(spec: GaussianPacketSpec, window: TimeGrid | None = None) -> EnergyGrid:
     """Energies covering p_i +/- 10 momentum widths, mapped to E = P^2/2m.
 
-    2**14 of them, unless ``window`` is given: the time window of a model
-    whose amplitude is analytic in E (the Kijowski models, but not ``sts``,
-    whose amplitude has a square-root branch point at each level).  The
-    end-corrected energy->time sum of ``numerics`` resolves such a model on
-    2**12 energies as long as their phase step dE (t_max - t_min) is at most
-    pi / 8, and a wider window keeps 2**14.
+    2**14 of them, unless ``window``, the time window of the run, is given.
+    The energy->time sum of ``numerics``, with its end weights and its terms
+    at each branch point, resolves every model on 2**12 energies as long as
+    their phase step dE (t_max - t_min) is at most pi / 8, and a wider window
+    keeps 2**14.
     """
     p_lo = spec.p_i - 10.0 * spec.sigma_p
     p_hi = spec.p_i + 10.0 * spec.sigma_p
     e_lo = max(E_FLOOR, p_lo**2 / (2.0 * spec.m)) if p_lo > 0 else E_FLOOR
     e_hi = p_hi**2 / (2.0 * spec.m)
     if window is not None:
-        grid = EnergyGrid(e_lo, e_hi, _ANALYTIC_N)
-        if grid.spacing * (window.t_max - window.t_min) <= _ANALYTIC_PHASE_STEP:
+        grid = EnergyGrid(e_lo, e_hi, _WINDOW_N)
+        if grid.spacing * (window.t_max - window.t_min) <= _WINDOW_PHASE_STEP:
             return grid
     return EnergyGrid(e_lo, e_hi, _DEFAULT_N)

@@ -47,10 +47,6 @@ _CURVES = {"sts": ("solid", "STS"),
 
 MODEL_NAMES = (*_CURVES, "flux_oracle")
 
-# the models whose amplitudes are analytic in E, which run on the smaller
-# default energy grid of ``default_energy_grid(packet, tgrid)``
-_ANALYTIC_MODELS = ("kijowski_transmitted", "kijowski_free")
-
 _CSV_HEADER = ",".join(["t", *(f"rho_{name}" for name in _CURVES), "flux"])
 _CSV_BLOCK = 256  # rows per formatted block
 
@@ -225,14 +221,13 @@ class ScenarioConfig:
         n = _METHOD_RE.match(self.method).group(2)
         return None if n is None else int(n)
 
-    def energy_grid(self, model: str = "sts") -> EnergyGrid:
-        """The energy grid ``model`` runs on: the config's ``egrid`` when it
-        gives one, else the default grid, which for the Kijowski models
-        depends on the time window (``packet.default_energy_grid``)."""
+    def energy_grid(self) -> EnergyGrid:
+        """The energy grid every model runs on: the config's ``egrid`` when it
+        gives one, else the default grid of the time window
+        (``packet.default_energy_grid``)."""
         if self.egrid is not None:
             return self.egrid
-        return default_energy_grid(self.packet,
-                                   self.tgrid if model in _ANALYTIC_MODELS else None)
+        return default_energy_grid(self.packet, self.tgrid)
 
     @classmethod
     def from_dict(cls, raw: dict, forced: dict | None = None) -> "ScenarioConfig":
@@ -368,28 +363,26 @@ def _density(amps: SpectralAmplitude, tgrid: TimeGrid, glue) -> TOADistribution:
         return TOADistribution.from_transform(amps, series, tgrid)
 
 
-def _evaluate_point(cfg: ScenarioConfig, v0: float, grids: tuple[EnergyGrid, EnergyGrid],
+def _evaluate_point(cfg: ScenarioConfig, v0: float, egrid: EnergyGrid,
                     free_dist: TOADistribution | None, glue) -> SweepPoint:
-    """Every requested model at height v0; ``grids`` are the energy grids of
-    ``sts`` and of transmitted Kijowski, and everything but the energy->time
-    transforms and the grid solver runs inside the context ``glue``."""
+    """Every requested model at height v0 on ``egrid``; everything but the
+    energy->time transforms and the grid solver runs inside the context
+    ``glue``."""
     dists: dict[str, TOADistribution] = {}
-    sts_grid, kijowski_grid = grids
-    setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x)
-    closed = None  # the closed-form amplitude on the Kijowski grid
+    setup = (cfg.packet, v0, cfg.barrier_length, cfg.detector_x, egrid)
+    closed = None
     if "sts" in cfg.models:
         with glue:
-            sts = barrier_amplitude(*setup, sts_grid, n_slices=cfg.n_slices)
-            if sts_grid == kijowski_grid and _slices_cut_at_edges(cfg, v0):
+            sts = barrier_amplitude(*setup, n_slices=cfg.n_slices)
+            if _slices_cut_at_edges(cfg, v0):
                 closed = sts
         dists["sts"] = _density(sts, cfg.tgrid, glue)
     if "kijowski_transmitted" in cfg.models:
         # the Kijowski amplitude is the closed-form sts amplitude times R(E);
-        # another grid, or slices that cut the path elsewhere, need the
-        # closed form built apart
+        # slices that cut the path elsewhere need the closed form built apart
         with glue:
             if closed is None:
-                closed = barrier_amplitude(*setup, kijowski_grid)
+                closed = barrier_amplitude(*setup)
             kijowski = transmitted_amplitude(closed, v0, cfg.barrier_length)
         dists["kijowski_transmitted"] = _density(kijowski, cfg.tgrid, glue)
     if free_dist is not None:
@@ -406,13 +399,11 @@ def _evaluate_point(cfg: ScenarioConfig, v0: float, grids: tuple[EnergyGrid, Ene
 def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     """Evaluate every requested model at every barrier height.
 
-    Each model runs on ``cfg.energy_grid(model)``: without an ``egrid`` in
-    the config, the Kijowski models run on a smaller grid than ``sts``.  At
-    each height the transmitted Kijowski model multiplies the closed-form
-    ``sts`` amplitude on its grid by R(E).  When both models share the grid,
-    that amplitude is the ``sts`` one, under ``slices:<n>`` too if the
-    slices give exactly the closed form's levels and widths; otherwise it is
-    built apart.
+    Every model runs on ``cfg.energy_grid()``.  At each height the
+    transmitted Kijowski model multiplies the closed-form ``sts`` amplitude
+    by R(E).  Under ``slices:<n>`` that amplitude is the sliced one when the
+    slices give exactly the closed form's levels and widths, and is built
+    apart otherwise.
 
     Points may be evaluated concurrently (``max_workers`` > 1).  The NumPy
     glue of a height (amplitudes, densities, distances) is made of many
@@ -421,11 +412,10 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     transforms with it.  Results are assembled in the config's ascending V0
     order either way, so output is deterministic.
     """
-    grids = (cfg.energy_grid("sts"), cfg.energy_grid("kijowski_transmitted"))
+    egrid = cfg.energy_grid()
     free_dist = None
     if "kijowski_free" in cfg.models:
-        free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid,
-                                  egrid=cfg.energy_grid("kijowski_free"))
+        free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid, egrid=egrid)
     if max_workers > 1 and len(cfg.v0_list) > 1:
         # imported here: with the logging it loads, it costs a cold CLI ~4-5 ms
         from concurrent.futures import ThreadPoolExecutor
@@ -433,10 +423,10 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
         glue = threading.Lock()
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             points = list(pool.map(
-                lambda v0: _evaluate_point(cfg, v0, grids, free_dist, glue), cfg.v0_list))
+                lambda v0: _evaluate_point(cfg, v0, egrid, free_dist, glue), cfg.v0_list))
     else:
         glue = contextlib.nullcontext()
-        points = [_evaluate_point(cfg, v0, grids, free_dist, glue) for v0 in cfg.v0_list]
+        points = [_evaluate_point(cfg, v0, egrid, free_dist, glue) for v0 in cfg.v0_list]
     return ScenarioResult(config=cfg, points=points)
 
 

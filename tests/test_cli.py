@@ -150,7 +150,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("config error: packet:")
 
     # a window this long would advance a 2**12 grid's kernel phase by 3.42
-    # rad (> pi), so the Kijowski models keep 2**14 energies there
+    # rad (> pi), so every model keeps 2**14 energies there
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_long_window_keeps_the_fine_kijowski_grid(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -372,19 +372,21 @@ class TestSubcommands:
             assert abs(row["difference"]) < 1e-3
 
     # oracle reads the transmitted Kijowski arrival probability off the energy
-    # amplitude, with no time transform: the number transmitted_kijowski
-    # reports, also on a time grid too coarse for that transform
+    # amplitude on its config's grid, with no time transform: the number
+    # transmitted_kijowski reports there, also on a time grid too coarse for
+    # that transform
     def test_oracle_arrival_probability_needs_no_time_grid(self, capsys, tmp_path):
+        raw = {"preset": "fig2", "tgrid": {"t_min": 0.0, "t_max": 1e5, "n": 64}}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"preset": "fig2",
-                                    "tgrid": {"t_min": 0.0, "t_max": 1e5, "n": 64}}))
+        path.write_text(json.dumps(raw))
         code, out, _ = run_cli(capsys, "oracle", "--config", str(path),
                                "--v0", "1.8", "--time-factor", "1.5")
         assert code == 0
         (row,) = json.loads(out)["oracle"]
         cfg = ScenarioConfig.from_dict({"preset": "fig2"})
         model = transmitted_kijowski(cfg.packet, 1.8, cfg.barrier_length, cfg.detector_x,
-                                     cfg.tgrid, egrid=cfg.energy_grid())
+                                     cfg.tgrid,
+                                     egrid=ScenarioConfig.from_dict(raw).energy_grid())
         assert row["arrival_probability"] == model.arrival_probability
 
     # a subcommand's forced models replace the config's only after the

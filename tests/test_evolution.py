@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import ConfigError, DivergenceWarning, ZeroArrival
-from sts_toa.evolution import (_free_flight, _level_factors, barrier_toa,
-                               free_kijowski, propagate, toa_density)
-from sts_toa.numerics import EnergyGrid, TimeGrid
-from sts_toa.packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
+from sts_toa.evolution import (_free_flight, _level_factors, barrier_amplitude,
+                               barrier_toa, free_kijowski, propagate, toa_density)
+from sts_toa.kijowski import transmitted_amplitude
+from sts_toa.numerics import EnergyGrid, TimeGrid, fourier_E_to_t
+from sts_toa.oracle import energy_integral_reference
+from sts_toa.packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
+                            sc_initial_amplitude)
 from sts_toa.potential import PiecewisePotential
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
@@ -221,3 +224,102 @@ class TestBarrierArrival:
     def test_detector_must_be_past_barrier(self, spec, tgrid):
         with pytest.raises(ValueError):
             barrier_toa(spec, 1.0, 10.0, 5.0, tgrid)
+
+
+class TestBranchPoints:
+    # fig2's default span is [1.125, 3.125]: V0 = 1.8 lies inside it, 4.5 not
+    def test_propagate_records_the_levels_in_the_window(self, amps):
+        inside = propagate(amps, PiecewisePotential.square_barrier(1.8, 10.0), 50.0)
+        assert inside.branch_points == ((1.8, 10.0),)
+        assert propagate(amps, BARRIER, 50.0).branch_points == ()
+
+    def test_widths_add_up_and_cancel(self, amps):
+        pot = PiecewisePotential.square_barrier(1.8, 10.0)
+        halfway = propagate(amps, pot, 4.0)
+        assert propagate(halfway, pot, 50.0).branch_points == ((1.8, 10.0),)
+        there = propagate(amps, pot, 50.0)
+        assert propagate(there, pot, -10.0).branch_points == ()
+
+    def test_kijowski_records_none(self, amps):
+        sts = propagate(amps, PiecewisePotential.square_barrier(1.8, 10.0), 50.0)
+        assert transmitted_amplitude(sts, 1.8, 10.0).branch_points == ()
+
+    # both methods sum the same values and take the same branch-point terms,
+    # which move the V0 = 1.8 time amplitude by ~7e-6
+    def test_direct_and_fft_apply_the_same_terms(self, spec):
+        tgrid = TimeGrid(0.0, 150.0, 512)
+        fft = barrier_toa(spec, 1.8, 10.0, 50.0, tgrid)
+        direct = barrier_toa(spec, 1.8, 10.0, 50.0, tgrid, method="direct")
+        assert fft.arrival_probability == direct.arrival_probability
+        assert np.max(np.abs(fft.density - direct.density)) < 1e-12
+
+
+# the in-window sweep-fine heights (linspace(0, 6, 32) on [1.125, 3.125]),
+# fig2's 1.8, and 1.925, which lies on node 1638 of fig2's 2**12 energies
+IN_WINDOW = [float(v) for v in np.linspace(0.0, 6.0, 32) if 1.125 <= v <= 3.125] + [1.8, 1.925]
+# bounds on the default-grid sts amplitude against the grid-free reference,
+# measured worst over IN_WINDOW: 9.5e-16 on [0, 150], 1.4e-12 on [0, 800]
+# (the window rule's edge for fig2 is ~804) and 6.9e-16 in the arrival
+# probability; the uncorrected sum on 2**14 energies is off by 2.1e-6, 2.1e-6
+# and 3.0e-6 there
+BRANCH_BOUNDS = {150.0: 1e-14, 800.0: 1e-11}
+ARRIVAL_BOUND = 1e-14
+
+
+class TestBranchPointAccuracy:
+    @pytest.fixture(scope="class")
+    def references(self, spec):
+        """Per height: the reference on [0, 150] and [0, 800], and the
+        arrival probability."""
+        span = default_energy_grid(spec, TimeGrid(0.0, 150.0, 2))
+        times = np.concatenate([np.linspace(0.0, 150.0, 151), np.linspace(0.0, 800.0, 201)])
+        out = {}
+        for v0 in IN_WINDOW:
+            f, p = energy_integral_reference(spec, v0, 10.0, 50.0, span.e_min, span.e_max,
+                                             times, panels=32, order=48)
+            out[v0] = {150.0: f[:151], 800.0: f[151:]}, p
+        return out
+
+    @staticmethod
+    def _time_amplitude(amps, tgrid, corrected=True):
+        series = fourier_E_to_t(amps.values, amps.egrid, tgrid)
+        return amps.branch_corrected(series, tgrid) if corrected else series
+
+    @pytest.mark.parametrize("t_max, n", [(150.0, 151), (800.0, 201)])
+    def test_default_grid_time_amplitude(self, spec, references, t_max, n):
+        tgrid = TimeGrid(0.0, t_max, n)
+        egrid = default_energy_grid(spec, tgrid)
+        assert egrid.n == 2**12
+        worst = max(np.max(np.abs(self._time_amplitude(
+            barrier_amplitude(spec, v0, 10.0, 50.0, egrid), tgrid) - references[v0][0][t_max]))
+            for v0 in IN_WINDOW)
+        assert worst < BRANCH_BOUNDS[t_max]
+
+    def test_default_grid_arrival_probability(self, spec, references):
+        egrid = default_energy_grid(spec, TimeGrid(0.0, 150.0, 2))
+        worst = max(abs(barrier_amplitude(spec, v0, 10.0, 50.0, egrid).arrival_probability()
+                        - references[v0][1]) for v0 in IN_WINDOW)
+        assert worst < ARRIVAL_BOUND
+
+    # on these grids of the span 1.8 lies a rounding error above a node
+    # (node 2187 of 6481), where the sample spacing exceeds dE; measured
+    # <= 1.3e-15, where the uncorrected sums are off by up to 6.4e-6
+    @pytest.mark.parametrize("n", [6481, 8961, 16561])
+    def test_level_just_above_a_rounded_node(self, spec, references, n):
+        tgrid = TimeGrid(0.0, 150.0, 151)
+        amps = barrier_amplitude(spec, 1.8, 10.0, 50.0, EnergyGrid(1.125, 3.125, n))
+        f, p = references[1.8]
+        assert np.max(np.abs(self._time_amplitude(amps, tgrid) - f[150.0])) < BRANCH_BOUNDS[150.0]
+        assert abs(amps.arrival_probability() - p) < ARRIVAL_BOUND
+
+    # the bounds catch the branch-point error: the uncorrected sum on the
+    # former 2**14 default grid fails each of them
+    @pytest.mark.parametrize("t_max, n", [(150.0, 151), (800.0, 201)])
+    def test_uncorrected_fine_grid_fails_the_bounds(self, spec, references, t_max, n):
+        tgrid = TimeGrid(0.0, t_max, n)
+        v0 = IN_WINDOW[4]  # 1.935..., the worst height
+        amps = barrier_amplitude(spec, v0, 10.0, 50.0, default_energy_grid(spec))
+        f, p = references[v0]
+        error = np.max(np.abs(self._time_amplitude(amps, tgrid, corrected=False) - f[t_max]))
+        trapezoid = np.trapezoid(np.abs(amps.values) ** 2, dx=amps.egrid.spacing)
+        assert error > BRANCH_BOUNDS[t_max] and abs(trapezoid - p) > ARRIVAL_BOUND

@@ -221,7 +221,7 @@ class TestDefaultGridAccuracy:
             "preset": "fig2", "barrier": {"v0": heights},
             "tgrid": {"t_min": 0.0, "t_max": t_max, "n": 4096},
             "models": ["kijowski_transmitted", "kijowski_free"]})
-        coarse = cfg.energy_grid("kijowski_transmitted")
+        coarse = cfg.energy_grid()
         assert coarse.n == 2**12
         fine = EnergyGrid(coarse.e_min, coarse.e_max, 2**17)
         result = run_scenario(cfg)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sts_toa.errors import GridTooCoarse
-from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _plan,
-                              fourier_E_to_t, trapezoid_complex,
+from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _hurwitz_zeta, _plan,
+                              branch_terms, fourier_E_to_t, trapezoid_complex,
                               unit_phase)
 
 
@@ -186,3 +186,123 @@ class TestFourier:
         coarse = EnergyGrid(1.0, 3.0, 16)
         with pytest.raises(GridTooCoarse):
             fourier_E_to_t(np.ones(16, dtype=complex), coarse, self.tgrid)
+
+
+# Bernoulli polynomials B_2 ... B_6 in x, as coefficient lists from x^0 up
+BERNOULLI_POLYNOMIALS = {2: [1 / 6, -1, 1], 3: [0, 1 / 2, -3 / 2, 1],
+                         4: [-1 / 30, 0, 1, -2, 1], 5: [0, -1 / 6, 0, 5 / 3, -5 / 2, 1],
+                         6: [1 / 42, 0, -1 / 2, 0, 5 / 2, -3, 1]}
+ZETA_ORDERS = [-0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -3.5, -4.0, -4.5, -5.0, -5.5]
+
+
+def _zeta_tolerance(s, a):
+    # the direct terms cancel the z^(1 - s), z = 10 + a, term of the tail
+    return 1e-15 * (10.0 + a) ** (1.0 - s)
+
+
+class TestHurwitzZeta:
+    def test_riemann_values(self):
+        assert abs(_hurwitz_zeta(-0.5, 1.0) - (-0.20788622497735457)) < 1e-14
+        assert abs(_hurwitz_zeta(-1.5, 1.0) - (-0.025485201889833036)) < 1e-14
+
+    def test_quarter_offset(self):
+        assert abs(_hurwitz_zeta(-0.5, 0.25) - 0.090322258761246244) < 1e-14
+
+    @pytest.mark.parametrize("s", ZETA_ORDERS)
+    @pytest.mark.parametrize("a", [0.0, 1e-9, 0.25, 0.5, 0.9, 1.0])
+    def test_shift_recurrence(self, s, a):
+        # zeta(s, a) - zeta(s, a + 1) = a^-s
+        diff = _hurwitz_zeta(s, a) - _hurwitz_zeta(s, a + 1.0) - a ** -s
+        assert abs(diff) < _zeta_tolerance(s, a + 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_negative_integers_give_bernoulli_polynomials(self, k):
+        a = np.linspace(0.0, 1.0, 11)
+        expect = -np.polynomial.polynomial.polyval(a, BERNOULLI_POLYNOMIALS[k + 1]) / (k + 1)
+        assert np.all(np.abs(_hurwitz_zeta(-k, a) - expect) < _zeta_tolerance(-k, 1.0))
+
+    def test_elementwise(self):
+        s, a = np.array([-0.5, -2.5, -3.0]), np.array([0.3, 0.7, 0.0])
+        out = _hurwitz_zeta(s, a)
+        assert out.shape == (3,)
+        for i in range(3):
+            assert abs(out[i] - _hurwitz_zeta(s[i], a[i])) < _zeta_tolerance(s[i], a[i])
+
+
+class TestBranchTerms:
+    EGRID = EnergyGrid(1.0, 3.0, 4096)
+
+    def _terms(self, level, width=10.0):
+        E = self.EGRID.samples
+        kp = np.sqrt((2.0 * (E - level)).astype(complex))
+        values = np.exp(-((E - 2.0) / 0.3) ** 2) * np.exp(1j * width * kp)
+        return branch_terms(values, self.EGRID, 1.0, level, width)
+
+    # the 12-sample fit needs 6 samples on each side, E[k - 6] ... E[k + 5]
+    # with E[k - 1] < level <= E[k]: a level nearer an end is left alone
+    @pytest.mark.parametrize("index, kept", [(0, False), (5, False), (5.5, True),
+                                             (2048.3, True), (4090, True),
+                                             (4090.2, False), (4095, False)])
+    def test_end_zone(self, index, kept):
+        level = self.EGRID.e_min + index * self.EGRID.spacing
+        assert (self._terms(level) is not None) == kept
+
+    # on 6481 energies of [1.125, 3.125], 1.8 is node 2187 in exact
+    # arithmetic and lies 8e-14 dE above the sample's rounded value, so
+    # E[k] - 1.8 exceeds dE and 1 - (E[k] - 1.8) / dE < 0 (it gave NaN)
+    def test_level_just_above_a_rounded_node(self):
+        egrid = EnergyGrid(1.125, 3.125, 6481)
+        assert egrid.samples[2187] < 1.8 < egrid.samples[2188]
+        assert (egrid.samples[2188] - 1.8) / egrid.spacing > 1.0
+        E = egrid.samples
+        kp = np.sqrt((2.0 * (E - 1.8)).astype(complex))
+        a = np.exp(-((E - 2.0) / 0.3) ** 2) * np.exp(10j * kp)
+        terms = branch_terms(a, egrid, 1.0, 1.8, 10.0)
+        assert np.all(np.isfinite(terms.poly)) and np.isfinite(terms.norm)
+
+    # a barrier 1e4 long: exp(W kappa) would reach e^1220 on the stencil
+    def test_opaque_level_is_left_alone(self):
+        E = self.EGRID.samples
+        a = np.exp(-((E - 2.0) / 0.3) ** 2) * np.exp(-1e4 * np.sqrt(np.abs(2.0 * (E - 2.0))))
+        assert branch_terms(a, self.EGRID, 1.0, 2.0001, 1e4) is None
+
+    def test_zero_width_has_no_terms(self):
+        assert self._terms(2.0, width=0.0) is None
+
+    def test_series_is_the_phase_times_the_polynomial(self):
+        terms = self._terms(2.0001)
+        tgrid = TimeGrid(0.0, 150.0, 301)
+        t = tgrid.samples
+        expect = np.polynomial.polynomial.polyval(t, terms.poly) * np.exp(-1j * terms.level * t)
+        assert np.max(np.abs(terms.series(tgrid) - expect)) < 1e-15 * np.max(np.abs(expect))
+
+    # a(E) = g(E) exp(i W k') for a smooth g, against Gauss-Legendre in
+    # u = sqrt(|E - level|) on each side; a negative W makes a grow below
+    # the level; measured <= 1.5e-14 (time) and 4.3e-14 (norm), where the
+    # uncorrected sums are ~5e-6 off
+    @pytest.mark.parametrize("width", [10.0, -5.0])
+    @pytest.mark.parametrize("index", [1500.4, 2048.0])
+    def test_corrected_sums_match_the_integrals(self, width, index):
+        egrid, tgrid = self.EGRID, TimeGrid(0.0, 150.0, 151)
+        level = float(egrid.samples[int(index)]) + (index % 1) * egrid.spacing
+
+        def amplitude(E, kp):
+            return np.exp(-((E - 2.0) / 0.25) ** 2 + 3j * E + 1j * width * kp)
+
+        E = egrid.samples
+        a = amplitude(E, np.sqrt((2.0 * (E - level)).astype(complex)))
+        x, w = np.polynomial.legendre.leggauss(64)
+        f, p = 0.0, 0.0
+        for side, span in ((-1.0, level - egrid.e_min), (1.0, egrid.e_max - level)):
+            edges = np.linspace(0.0, np.sqrt(span), 65)
+            half = 0.5 * np.diff(edges)[:, None]
+            u = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+            e = level + side * u**2
+            au = amplitude(e, np.sqrt(2.0) * u * (1j if side < 0 else 1.0))
+            wu = 2.0 * u * (half * w).ravel()
+            f = f + np.exp(-1j * np.outer(tgrid.samples, e)) @ (wu * au) / np.sqrt(2.0 * np.pi)
+            p += float(np.dot(wu, np.abs(au) ** 2))
+        terms = branch_terms(a, egrid, 1.0, level, width)
+        series = fourier_E_to_t(a, egrid, tgrid) - terms.series(tgrid)
+        assert np.max(np.abs(series - f)) < 1e-13
+        assert abs(trapezoid_complex(np.abs(a) ** 2, egrid.spacing).real - terms.norm - p) < 2e-13

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import UnstableConfig
+from sts_toa.evolution import barrier_amplitude
+from sts_toa.kijowski import transmitted_amplitude
+from sts_toa.numerics import TimeGrid, fourier_E_to_t
 from sts_toa.oracle import (GridSolverConfig, _band_solver, _lapack_info,
                             _sample_potential, barrier_oracle_config,
-                            crank_nicolson_evolve, flux_oracle_config, flux_toa,
-                            time_potential_solution, transfer_matrix_T,
-                            transmitted_norm)
+                            crank_nicolson_evolve, energy_integral_reference,
+                            flux_oracle_config, flux_toa, time_potential_solution,
+                            transfer_matrix_T, transmitted_norm)
+from sts_toa.packet import default_energy_grid
 from sts_toa.packet import GaussianPacketSpec, psi_position
 from sts_toa.potential import PiecewisePotential
 
@@ -283,3 +287,43 @@ class TestTimePotential:
         mask = (res.x > -40.0) & (res.x < 0.0)
         psi_ref = time_potential_solution(self.SPEC, lambda t: 0.0, res.x[mask], 10.0)
         assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-6
+
+
+class TestEnergyIntegralReference:
+    """The grid-free energy integrals behind the fig2 barrier (L = 10, x = 50)
+    on the default span; |f| <= 0.23 there."""
+
+    @staticmethod
+    def _reference(spec, v0, tgrid, **kw):
+        egrid = default_energy_grid(spec, tgrid)
+        return energy_integral_reference(spec, v0, 10.0, 50.0, egrid.e_min, egrid.e_max,
+                                         tgrid.samples, **kw)
+
+    # 64 panels of 64 nodes per side against 96 of 80: measured 2.8e-16 on
+    # [0, 150] and 1.7e-15 on [0, 800], where E t reaches ~2500 rad
+    @pytest.mark.parametrize("kijowski", [False, True])
+    @pytest.mark.parametrize("t_max", [150.0, 800.0])
+    def test_two_node_counts_agree(self, spec, kijowski, t_max):
+        tgrid = TimeGrid(0.0, t_max, 101)
+        f, p = self._reference(spec, 1.8, tgrid, kijowski=kijowski)
+        g, q = self._reference(spec, 1.8, tgrid, kijowski=kijowski, panels=96, order=80)
+        assert np.max(np.abs(f - g)) < 1e-14
+        assert abs(p - q) < 1e-15
+
+    # T(P) is analytic in E, so the end-corrected sum is exact to rounding at
+    # any height (measured <= 9.3e-16); so is sts without an in-window level
+    @pytest.mark.parametrize("v0, kijowski", [(1.8, True), (1.125, True), (0.0, False),
+                                              (4.5, False)])
+    def test_analytic_amplitudes_match_the_grid(self, spec, v0, kijowski):
+        tgrid = TimeGrid(0.0, 150.0, 151)
+        egrid = default_energy_grid(spec, tgrid)
+        amps = barrier_amplitude(spec, v0, 10.0, 50.0, egrid)
+        if kijowski:
+            amps = transmitted_amplitude(amps, v0, 10.0)
+        f, p = self._reference(spec, v0, tgrid, kijowski=kijowski, panels=32, order=48)
+        assert np.max(np.abs(fourier_E_to_t(amps.values, egrid, tgrid) - f)) < 3e-15
+        assert abs(amps.arrival_probability() - p) < 1e-15
+
+    def test_detector_inside_the_barrier_rejected(self, spec):
+        with pytest.raises(ValueError):
+            energy_integral_reference(spec, 1.8, 10.0, 5.0, 1.125, 3.125, [0.0])

@@ -92,7 +92,7 @@ class TestInitialAmplitude:
         assert g.e_min < e0 < g.e_max
         assert g.n == 2**14
 
-    # an amplitude analytic in E gets 2**12 energies on the same span while
+    # a time window gets 2**12 energies on the same span while
     # dE (t_max - t_min) <= pi / 8, i.e. up to a window ~804 wide for fig2
     @pytest.mark.parametrize("t_max, n", [(150.0, 2**12), (804.0, 2**12),
                                           (805.0, 2**14), (7000.0, 2**14)])

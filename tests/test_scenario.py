@@ -135,9 +135,9 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
     # more workers than cores and a short switch interval, so that workers
-    # interleave inside the shared caches (chirp-z plans per time grid,
-    # initial amplitudes, free flights), which a run on another time grid
-    # has just emptied of this run's plans
+    # interleave inside the shared caches (the chirp-z plan, initial
+    # amplitudes, free flights), which a run on another time grid has just
+    # emptied of this run's plan
     def test_threads_fill_the_shared_caches_without_lost_updates(self):
         heights = [float(v) for v in np.linspace(0.0, 6.0, 8)]
         cfg = fig2(barrier={"v0": heights}, tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256})
@@ -176,14 +176,14 @@ class TestRun:
             assert np.array_equal(rho[name], _densities(closed)[name])
         assert np.array_equal(rho["sts"], _densities(closed)["sts"]) == (translations == 1)
 
-    # without an egrid the Kijowski models run on 2**12 energies and sts on
-    # 2**14, so a height translates once per model even where 50 slices give
-    # the closed form; each model still matches the closed run bit for bit
-    def test_default_grid_translates_kijowski_apart(self, monkeypatch):
+    # without an egrid every model runs on the window's 2**12 energies, so
+    # where 50 slices give the closed form a height translates once, and
+    # each model matches the closed run bit for bit
+    def test_default_grid_translates_once_per_height(self, monkeypatch):
         closed = _densities(run_scenario(fig2(barrier={"v0": [1.8]})))
         calls = _count_propagations(monkeypatch)
         rho = _densities(run_scenario(fig2(barrier={"v0": [1.8]}, method="slices:50")))
-        assert [amps.egrid.n for amps, *_ in calls] == [2**14, 2**12]
+        assert [amps.egrid.n for amps, *_ in calls] == [2**12]
         assert rho.keys() == closed.keys()
         for name in rho:
             assert np.array_equal(rho[name], closed[name])

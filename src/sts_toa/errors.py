@@ -10,7 +10,8 @@ class GridTooCoarse(ValueError):
 
 class DivergenceWarning(FloatingPointError):
     """Evanescent growth exponent would overflow; the requested translation is in
-    the non-physical regime (amplitude grows without bound)."""
+    the non-physical regime (amplitude grows without bound).  Also raised for
+    an arrival probability or arrival-time density that is not finite."""
 
 
 class ZeroArrival(ArithmeticError):

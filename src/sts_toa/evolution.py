@@ -74,8 +74,8 @@ class TOADistribution:
         d = np.asarray(self.density, dtype=float)
         if d.shape != (self.tgrid.n,):
             raise ValueError("density must match the time grid length")
-        if d.min() < 0.0:
-            raise ValueError("density must be nonnegative")
+        if not (d.min() >= 0.0 and d.max() < np.inf):  # NaN fails both
+            raise ValueError("density must be finite and nonnegative")
         object.__setattr__(self, "density", d)
 
     def integral(self) -> float:
@@ -103,12 +103,16 @@ class TOADistribution:
         energy->time sum of ``amps.values`` on ``tgrid``, and the amplitude is
         that sum corrected at ``amps``'s branch points
         (``SpectralAmplitude.branch_corrected``).  ZeroArrival if the arrival
-        probability or the density's mass inside the window is below 1e-300."""
+        probability or the density's mass inside the window is below 1e-300,
+        DivergenceWarning if either is not finite."""
         arrival = amps.arrival_probability()
-        if arrival < _ARRIVAL_FLOOR:
-            raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
         density = np.abs(amps.branch_corrected(series, tgrid)) ** 2
         norm = float(trapezoid_complex(density, tgrid.spacing).real)
+        if not (np.isfinite(arrival) and np.isfinite(norm)):
+            raise DivergenceWarning(f"arrival probability {arrival:g} and density mass "
+                                    f"{norm:g} at x = {amps.anchor_x}: not finite")
+        if arrival < _ARRIVAL_FLOOR:
+            raise ZeroArrival(f"arrival probability {arrival:g} at x = {amps.anchor_x}")
         if norm < _ARRIVAL_FLOOR:
             raise ZeroArrival(f"no density mass inside the time window at x = {amps.anchor_x}")
         return cls(tgrid, density / norm, arrival_probability=arrival)

@@ -16,7 +16,9 @@ energies, where the plain trapezoid on 2**14 is ~6e-14 off.  The chirp-z
 path keeps one plan per (energy grid, time grid) pair: the chirp, the
 kernel's FFT and the pre/post phase factors are built once, on an FFT
 length of the form 2**a, 3 * 2**a or 5 * 2**a, and every transform on that
-grid pair costs two FFTs, run in place in one buffer.
+grid pair costs two FFTs, run in place in one buffer.  A stack of
+amplitudes on one grid pair (a block of a sweep's heights) shares one
+buffer and one FFT call each way.
 
 ``unit_phase`` forms exp(i phi) for a real phase from t = tan(phi / 2),
 cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2 t / (1 + t^2), into the
@@ -235,28 +237,36 @@ def _plan(egrid: EnergyGrid, tgrid: TimeGrid):
 
 def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
                    method: str = "fft") -> np.ndarray:
-    """Transform an energy-sampled amplitude to the time domain.
+    """Transform an energy-sampled amplitude, or a stack of them, to the
+    time domain.
 
     Approximates (2*pi)**-0.5 * integral dE a(E) exp(-i E t) at
     every time-grid point, by the end-corrected trapezoid rule on the
-    energy grid (``_trapezoid_weights``).
+    energy grid (``_trapezoid_weights``).  ``amps`` is one amplitude of
+    shape (n_E,), giving shape (n_t,), or a stack of k of them, shape
+    (k, n_E) or k rows of n_E, giving shape (k, n_t); each row of a stack
+    is transformed as it would be alone, bit for bit.
 
     method="fft" evaluates the quadrature sum with a chirp-z transform
     (FFT-based, exact same sum) padded to the smallest 2**a, 3 * 2**a or
     5 * 2**a >= n_E + n_t - 1; its plan is built once per grid pair and
-    reused while consecutive calls share the pair.  method="direct"
-    accumulates the sum explicitly, one kernel row at a time: an exact row
-    every 32 time rows, and the rows between stepped by exp(-i E dt).
+    reused while consecutive calls share the pair.  A stack is one (k, size)
+    buffer and one FFT call each way along its rows, which costs less per row
+    than k calls and lets two threads' transforms run side by side.
+    method="direct" accumulates the sum explicitly, one kernel row at a time:
+    an exact row every 32 time rows, and the rows between stepped by
+    exp(-i E dt); it takes a stack too.
     """
     values = np.asarray(amps, dtype=complex)
-    if values.shape != (egrid.n,):
-        raise ValueError(f"amplitude shape {values.shape} does not match grid ({egrid.n},)")
+    if values.ndim not in (1, 2) or values.shape[-1] != egrid.n:
+        raise ValueError(f"amplitude shape {values.shape} does not match grid "
+                         f"({egrid.n},) or a stack (k, {egrid.n})")
     _check_nyquist(egrid, tgrid)
 
     if method == "direct":
         weighted = values * _trapezoid_weights(egrid.n)
         E, t = egrid.samples, tgrid.samples
-        out = np.empty(tgrid.n, dtype=complex)
+        out = np.empty(values.shape[:-1] + (tgrid.n,), dtype=complex)
         # blocks of at most 32 kernel rows and 2**22 entries: an exact row
         # exp(-i E t_i), then each row the one before times exp(-i E dt)
         rows = max(1, min(32, 2**22 // egrid.n))
@@ -267,19 +277,19 @@ def fourier_E_to_t(amps, egrid: EnergyGrid, tgrid: TimeGrid,
             block[0] = np.exp(-1j * t[i] * E)
             for r in range(1, len(block)):
                 np.multiply(block[r - 1], step, out=block[r])
-            out[i:i + len(block)] = block @ weighted
+            out.T[i:i + len(block)] = block @ weighted.T
         return out * (egrid.spacing / np.sqrt(2.0 * np.pi))
     if method == "fft":
         size, pre, kernel_fft, post = _plan(egrid, tgrid)
         # one buffer holds the padded input, its spectrum and the
         # convolution; the temporaries it replaces cost ~0.35 ms per
         # single-height run on fresh grids of ~18 k energies (2-vCPU x86-64)
-        buf = np.zeros(size, dtype=complex)
-        np.multiply(values, pre, out=buf[:egrid.n])
-        np.fft.fft(buf, out=buf)
+        buf = np.zeros(values.shape[:-1] + (size,), dtype=complex)
+        np.multiply(values, pre, out=buf[..., :egrid.n])
+        np.fft.fft(buf, axis=-1, out=buf)
         buf *= kernel_fft
-        np.fft.ifft(buf, out=buf)
-        return buf[:tgrid.n] * post
+        np.fft.ifft(buf, axis=-1, out=buf)
+        return buf[..., :tgrid.n] * post
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from sts_toa import scenario
 from sts_toa.cli import main
 from sts_toa.kijowski import transmitted_kijowski
 from sts_toa.scenario import ScenarioConfig
@@ -170,6 +171,24 @@ class TestExitCodes:
         path.write_text(json.dumps({"preset": "fig2", "barrier": {"v0": [1e30]}}))
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 3 and out == "" and "ZeroArrival" in err
+
+    # a NaN in one row of a block's stacked transform stops the sweep with
+    # exit 3 before any file is written
+    def test_nan_row_of_a_stack_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        transform = scenario.fourier_E_to_t
+
+        def one_bad_row(amps, *args, **kwargs):
+            series = transform(amps, *args, **kwargs)
+            if series.ndim == 2 and len(series) > 1:
+                series[1, 100] = np.nan
+            return series
+
+        monkeypatch.setattr(scenario, "fourier_E_to_t", one_bad_row)
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig2",
+                                 "--out-csv", str(tmp_path / "sweep.csv"))
+        assert code == 3 and out == ""
+        assert "DivergenceWarning" in err and "at x = 50.0: not finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_v0_override_of_a_barrier_that_is_no_object(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

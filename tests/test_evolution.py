@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sts_toa.errors import ConfigError, DivergenceWarning, ZeroArrival
-from sts_toa.evolution import (_free_flight, _level_factors, barrier_amplitude,
+from sts_toa.evolution import (TOADistribution, _free_flight, _level_factors,
+                               barrier_amplitude,
                                barrier_toa, free_kijowski, propagate, toa_density)
 from sts_toa.kijowski import transmitted_amplitude
 from sts_toa.numerics import EnergyGrid, TimeGrid, fourier_E_to_t
@@ -170,6 +171,35 @@ class TestDensity:
                                  anchor_x=0.0, egrid=egrid, m=1.0)
         with pytest.raises(ZeroArrival):
             toa_density(zero, tgrid)
+
+
+    # NaN fails every check of a density: a NaN time series, or a NaN or
+    # infinite arrival probability, is a numerical failure naming the
+    # detector position (amplitude values are checked finite on their own;
+    # a branch-point term can still be NaN)
+    def test_nan_series_is_a_numerical_failure(self, amps):
+        tgrid = TimeGrid(0.0, 150.0, 64)
+        at_detector = SpectralAmplitude(amps.values, anchor_x=50.0, egrid=amps.egrid, m=amps.m)
+        with pytest.raises(DivergenceWarning, match="at x = 50.0: not finite"):
+            TOADistribution.from_transform(at_detector, np.full(64, np.nan + 0j), tgrid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrival_is_a_numerical_failure(self, monkeypatch, amps, bad):
+        tgrid = TimeGrid(0.0, 150.0, 64)
+        at_detector = SpectralAmplitude(amps.values, anchor_x=50.0, egrid=amps.egrid, m=amps.m)
+        monkeypatch.setattr(SpectralAmplitude, "arrival_probability", lambda self: bad)
+        with pytest.raises(DivergenceWarning, match="at x = 50.0: not finite"):
+            TOADistribution.from_transform(at_detector, np.ones(64, dtype=complex), tgrid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300])
+    def test_density_must_be_finite_and_nonnegative(self, bad):
+        tgrid = TimeGrid(0.0, 150.0, 64)
+        density = np.full(64, 1.0 / 150.0)
+        density[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TOADistribution(tgrid, density, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TOADistribution(tgrid, np.full(64, bad), 1.0)
 
 
 class TestFreeArrival:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from sts_toa.errors import GridTooCoarse
 from sts_toa.numerics import (EnergyGrid, TimeGrid, _fft_size, _hurwitz_zeta, _plan,
                               branch_terms, fourier_E_to_t, trapezoid_complex,
                               unit_phase)
+from sts_toa.packet import default_energy_grid
 
 
 class TestGrids:
@@ -135,6 +137,47 @@ class TestFourier:
         fft = fourier_E_to_t(a, egrid, tgrid, method="fft")
         direct = fourier_E_to_t(a, egrid, tgrid, method="direct")
         assert np.max(np.abs(fft - direct)) < 1e-8
+
+    # each row of a stack is transformed as it would be alone, bit for bit:
+    # on fig2's grid pair (2**12 energies and 4096 times, FFT length 8192),
+    # and on pairs whose FFT length is 3 * 2**11 (5121 -> 6144) and 5 * 2**10
+    # (5120); k rows in one list give the same stack
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("n_e, n_t", [(None, None), (4097, 1025), (4097, 1024)],
+                             ids=["fig2", "3x2^11", "5x2^10"])
+    def test_stack_rows_equal_single_transforms(self, spec, k, n_e, n_t):
+        if n_e is None:
+            tgrid = TimeGrid(0.0, 150.0, 4096)
+            egrid = default_energy_grid(spec, tgrid)
+        else:
+            egrid, tgrid = EnergyGrid(1.0, 3.0, n_e), TimeGrid(-200.0, 200.0, n_t)
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(k, egrid.n)) + 1j * rng.normal(size=(k, egrid.n))
+        out = fourier_E_to_t(stack, egrid, tgrid)
+        assert out.shape == (k, tgrid.n)
+        for row, series in zip(stack, out):
+            assert np.array_equal(series, fourier_E_to_t(row, egrid, tgrid))
+        assert np.array_equal(fourier_E_to_t(list(stack), egrid, tgrid), out)
+
+    # the direct quadrature takes the same stack; its rows agree with the
+    # chirp-z ones within criterion 10's bound, and with the direct
+    # transform of each row alone to rounding
+    def test_direct_takes_a_stack(self):
+        egrid, tgrid = EnergyGrid(1.0, 3.0, 4097), TimeGrid(-200.0, 200.0, 1025)
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(3, egrid.n)) + 1j * rng.normal(size=(3, egrid.n))
+        direct = fourier_E_to_t(stack, egrid, tgrid, method="direct")
+        assert direct.shape == (3, tgrid.n)
+        assert np.max(np.abs(direct - fourier_E_to_t(stack, egrid, tgrid))) < 1e-8
+        for row, series in zip(stack, direct):
+            alone = fourier_E_to_t(row, egrid, tgrid, method="direct")
+            assert np.max(np.abs(series - alone)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("shape", [(4095,), (2, 4095), (4096, 1), (2, 2, 4096), ()])
+    def test_wrong_shape_is_named(self, method, shape):
+        with pytest.raises(ValueError, match=re.escape(f"amplitude shape {shape}")):
+            fourier_E_to_t(np.ones(shape, dtype=complex), self.egrid, self.tgrid, method)
 
     def test_shift_theorem_exact_on_grid(self):
         a = self._gaussian_amps()

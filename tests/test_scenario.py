@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sts_toa import evolution
+from sts_toa import evolution, scenario
 from sts_toa.errors import ConfigError
 from sts_toa.evolution import TOADistribution
 from sts_toa.scenario import (ScenarioConfig, ScenarioResult, SweepPoint,
@@ -116,38 +116,66 @@ class TestRun:
         text = json.dumps(small_result.summary())
         assert "l1_distance_sts_kijowski" in text
 
+    # 9 heights make three blocks, the last one partial, so two workers run
+    # side by side; they share the cached transform plan and amplitude, and
+    # the densities, files and summary must not depend on the worker count.
+    # slices:7 builds Kijowski's closed form apart, slices:50 reuses the sts one
     def test_threaded_run_matches_serial(self, tmp_path):
-        # the worker threads share the cached transform plan and amplitude;
-        # the files and the summary must not depend on the worker count
-        cfg = fig2(barrier={"v0": [1.8, 0.0, 4.5]},
-                   tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256},
-                   models=["sts", "kijowski_transmitted", "kijowski_free"])
-        outputs = []
-        for workers in (1, 2):
-            result = run_scenario(cfg, max_workers=workers)
-            out = tmp_path / f"workers-{workers}"
-            out.mkdir()
-            emit_csv(result, out / "run.csv")
-            emit_svg(result, out / "run.svg")
-            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            outputs.append((files, json.dumps(result.summary(), sort_keys=True)))
-        assert len(outputs[0][0]) == 4
-        assert outputs[0] == outputs[1]
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 9)]
+        for method in ("closed", "slices:7", "slices:50"):
+            cfg = fig2(barrier={"v0": heights}, method=method,
+                       tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256},
+                       models=["sts", "kijowski_transmitted", "kijowski_free"])
+            assert len(cfg.v0_list) > 2 * scenario._BLOCK
+            outputs, results = [], []
+            for workers in (1, 2):
+                result = run_scenario(cfg, max_workers=workers)
+                out = tmp_path / f"{method.replace(':', '-')}-workers-{workers}"
+                out.mkdir()
+                emit_csv(result, out / "run.csv")
+                emit_svg(result, out / "run.svg")
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                outputs.append((files, json.dumps(result.summary(), sort_keys=True)))
+                results.append(result)
+            assert len(outputs[0][0]) == 10
+            assert outputs[0] == outputs[1], method
+            serial, threaded = results
+            assert [pt.v0 for pt in threaded.points] == heights
+            for a, b in zip(threaded.points, serial.points):
+                assert a.distributions.keys() == b.distributions.keys()
+                for name, dist in a.distributions.items():
+                    assert np.array_equal(dist.density, b.distributions[name].density)
 
-    # more workers than cores and a short switch interval, so that workers
-    # interleave inside the shared caches (the chirp-z plan, initial
-    # amplitudes, free flights), which a run on another time grid has just
-    # emptied of this run's plan
+    # a sweep's heights run in blocks with one stacked transform per model;
+    # each height's densities equal those of a run of that height alone, in
+    # the first (full) block and in the second (partial) one
+    def test_blocks_equal_single_height_runs(self):
+        heights = [0.0, 1.125, 1.8, 4.5, 6.0]
+        tgrid = {"t_min": 0.0, "t_max": 150.0, "n": 256}
+        sweep = run_scenario(fig2(barrier={"v0": heights}, tgrid=tgrid))
+        assert len(heights) == scenario._BLOCK + 1
+        for pt in sweep.points:
+            alone = run_scenario(fig2(barrier={"v0": [pt.v0]}, tgrid=tgrid)).points[0]
+            assert alone.distance_sts_kijowski == pt.distance_sts_kijowski
+            for name, dist in pt.distributions.items():
+                assert np.array_equal(dist.density, alone.distributions[name].density)
+
+    # more workers than cores, as many blocks as workers and a short switch
+    # interval, so that workers interleave inside the shared caches (the
+    # chirp-z plan, initial amplitudes, free flights), which a run on another
+    # time grid has just emptied of this run's plan
     def test_threads_fill_the_shared_caches_without_lost_updates(self):
-        heights = [float(v) for v in np.linspace(0.0, 6.0, 8)]
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 16)]
         cfg = fig2(barrier={"v0": heights}, tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256})
+        workers = 4
+        assert len(cfg.v0_list) >= workers * scenario._BLOCK
         serial = run_scenario(cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             run_scenario(fig2(barrier={"v0": [1.8]},
                               tgrid={"t_min": 0.0, "t_max": 150.0, "n": 128}))
-            threaded = run_scenario(cfg, max_workers=4)
+            threaded = run_scenario(cfg, max_workers=workers)
         finally:
             sys.setswitchinterval(interval)
         assert threaded.summary() == serial.summary()

@@ -11,11 +11,10 @@ byte-identical CSV and SVG output.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import re
 import sys
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -355,66 +354,40 @@ def _slices_cut_at_edges(cfg: ScenarioConfig, v0: float) -> bool:
     return all(np.array_equal(s, e) for s, e in zip(sliced, exact))
 
 
-# heights per task of run_scenario: each model's transforms of a block run as
-# one stacked chirp-z call, whose FFTs cost less per row than one call per
-# height (53-61 against 82 us at 8192 points, 2-vCPU x86-64) and hold the
-# workers outside the glue lock for longer at a time
+# heights per block of run_scenario: one stacked chirp-z call per model and block costs
+# less per row than one call per height (53-61 against 82 us at 8192 points, 2-vCPU x86-64)
 _BLOCK = 4
 
 
-def _densities(amps: list[SpectralAmplitude], tgrid: TimeGrid,
-               glue) -> list[TOADistribution]:
-    """``toa_density`` of each amplitude of ``amps``: one stacked
-    energy->time transform outside the context ``glue``, and the densities
-    assembled inside it."""
-    rows = [a.values for a in amps]
-    # one amplitude goes in as a 1-row view of its own array, not a copy
-    series = fourier_E_to_t(rows[0][None] if len(rows) == 1 else rows, amps[0].egrid, tgrid)
-    with glue:
-        return [TOADistribution.from_transform(a, row, tgrid) for a, row in zip(amps, series)]
-
-
-def _evaluate_block(cfg: ScenarioConfig, heights: tuple[float, ...], egrid: EnergyGrid,
-                    free_dist: TOADistribution | None, glue) -> list[SweepPoint]:
-    """Every requested model at each height of ``heights`` on ``egrid``;
-    everything but the energy->time transforms and the grid solver runs
-    inside the context ``glue``.  Each model's amplitudes are transformed
-    and assembled before the next model's are built."""
-    dists: list[dict[str, TOADistribution]] = [{} for _ in heights]
-
+def _stacks(cfg: ScenarioConfig, egrid: EnergyGrid):
+    """Yield ``(model, heights, amplitudes)`` for each block of ``_BLOCK``
+    heights and each requested transmitted-packet model, in sweep order."""
     def setup(v0):
         return cfg.packet, v0, cfg.barrier_length, cfg.detector_x, egrid
 
-    closed = [None] * len(heights)
-    if "sts" in cfg.models:
-        with glue:
+    for i in range(0, len(cfg.v0_list), _BLOCK):
+        heights = cfg.v0_list[i:i + _BLOCK]
+        closed = [None] * len(heights)
+        if "sts" in cfg.models:
             sts = [barrier_amplitude(*setup(v0), n_slices=cfg.n_slices) for v0 in heights]
             closed = [amps if _slices_cut_at_edges(cfg, v0) else None
                       for amps, v0 in zip(sts, heights)]
-        for d, dist in zip(dists, _densities(sts, cfg.tgrid, glue)):
-            d["sts"] = dist
-    if "kijowski_transmitted" in cfg.models:
-        # the Kijowski amplitude is the closed-form sts amplitude times R(E);
-        # slices that cut the path elsewhere need the closed form built apart
-        with glue:
+            yield "sts", heights, sts
+        if "kijowski_transmitted" in cfg.models:
+            # the Kijowski amplitude is the closed-form sts amplitude times R(E);
+            # slices that cut the path elsewhere need the closed form built apart
             kijowski = [transmitted_amplitude(barrier_amplitude(*setup(v0)) if amps is None
                                               else amps, v0, cfg.barrier_length)
                         for amps, v0 in zip(closed, heights)]
             closed = sts = None  # freed before the Kijowski transform
-        for d, dist in zip(dists, _densities(kijowski, cfg.tgrid, glue)):
-            d["kijowski_transmitted"] = dist
-    points = []
-    for v0, d in zip(heights, dists):
-        if free_dist is not None:
-            d["kijowski_free"] = free_dist
-        flux = _flux_oracle_series(cfg, v0) if "flux_oracle" in cfg.models else None
-        distance = None
-        if all(name in d for name in COMPARED_PAIR):
-            with glue:
-                distance = model_distance(*(d[name] for name in COMPARED_PAIR))
-        points.append(SweepPoint(v0=v0, distributions=d, flux=flux,
-                                 distance_sts_kijowski=distance))
-    return points
+            yield "kijowski_transmitted", heights, kijowski
+
+
+def _transform(amps: list[SpectralAmplitude], tgrid: TimeGrid) -> np.ndarray:
+    """The energy->time sums of ``amps`` on ``tgrid``, one stacked call."""
+    rows = [a.values for a in amps]
+    # one amplitude goes in as a 1-row view of its own array, not a copy
+    return fourier_E_to_t(rows[0][None] if len(rows) == 1 else rows, amps[0].egrid, tgrid)
 
 
 def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
@@ -427,48 +400,50 @@ def run_scenario(cfg: ScenarioConfig, max_workers: int = 1) -> ScenarioResult:
     apart otherwise.
 
     The heights run in blocks of ``_BLOCK``, and each model's energy->time
-    transforms of a block run as one stacked ``fourier_E_to_t`` call.  Blocks
-    may be evaluated concurrently (``max_workers`` > 1, the calling thread
-    among the workers, each taking the next block left).  The NumPy glue of
-    a block (amplitudes, densities, distances) is made of many short calls
-    that would stall the workers on the GIL at each one, so it runs under
-    one lock, and the workers overlap only their stacked transforms with it
-    and with each other.  Results are assembled in the config's ascending V0
-    order either way, so output is deterministic.
+    transforms of a block run as one stacked ``fourier_E_to_t`` call.  The
+    calling thread builds every amplitude, density and distance.  With
+    ``max_workers`` > 1, min(``max_workers`` - 1, number of stacks) pool
+    threads run only the transforms: the caller submits each stack and
+    assembles the oldest once more wait than there are pool threads, so it
+    builds and assembles while the pool transforms.  Results are assembled
+    in the config's ascending V0 order either way, so output is deterministic.
     """
-    egrid = cfg.energy_grid()
-    free_dist = None
-    if "kijowski_free" in cfg.models:
-        free_dist = free_kijowski(cfg.packet, cfg.detector_x, cfg.tgrid, egrid=egrid)
-    blocks = [cfg.v0_list[i:i + _BLOCK] for i in range(0, len(cfg.v0_list), _BLOCK)]
-    done = [None] * len(blocks)
-    todo = iter(range(len(blocks)))
+    egrid, tgrid = cfg.energy_grid(), cfg.tgrid
+    free_dist = (free_kijowski(cfg.packet, cfg.detector_x, tgrid, egrid=egrid)
+                 if "kijowski_free" in cfg.models else None)
+    points = {v0: SweepPoint(v0=v0, distributions={}) for v0 in cfg.v0_list}
 
-    def work(glue):
-        while True:
-            with glue:
-                i = next(todo, None)
-            if i is None:
-                return
-            done[i] = _evaluate_block(cfg, blocks[i], egrid, free_dist, glue)
+    def assemble(model, heights, amps, series):
+        for v0, a, row in zip(heights, amps, series):
+            points[v0].distributions[model] = TOADistribution.from_transform(a, row, tgrid)
 
-    if max_workers > 1 and len(blocks) > 1:
+    n_stacks = -(-len(cfg.v0_list) // _BLOCK) * len(set(COMPARED_PAIR) & set(cfg.models))
+    threads = min(max_workers - 1, n_stacks)
+    if threads > 0:
         # imported here: with the logging it loads, it costs a cold CLI ~4-5 ms
         from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread is one of the workers: a pool thread allocates
-        # from its own malloc arena, and a warm 32-height fig2 sweep on two
-        # workers peaked ~1.4 MiB higher in resident memory with two pool
-        # threads than with one (glibc, 2-vCPU x86-64)
-        glue = threading.Lock()
-        with ThreadPoolExecutor(max_workers=max_workers - 1) as pool:
-            helpers = [pool.submit(work, glue) for _ in range(max_workers - 1)]
-            work(glue)
-            for helper in helpers:
-                helper.result()
+        pending = deque()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for model, heights, amps in _stacks(cfg, egrid):
+                pending.append((model, heights, amps, pool.submit(_transform, amps, tgrid)))
+                if len(pending) > threads:
+                    *stack, future = pending.popleft()
+                    assemble(*stack, future.result())
+            for *stack, future in pending:
+                assemble(*stack, future.result())
     else:
-        work(contextlib.nullcontext())
-    return ScenarioResult(config=cfg, points=[pt for points in done for pt in points])
+        for model, heights, amps in _stacks(cfg, egrid):
+            assemble(model, heights, amps, _transform(amps, tgrid))
+
+    for pt in points.values():
+        d = pt.distributions
+        if free_dist is not None:
+            d["kijowski_free"] = free_dist
+        if "flux_oracle" in cfg.models:
+            pt.flux = _flux_oracle_series(cfg, pt.v0)
+        if set(COMPARED_PAIR) <= d.keys():
+            pt.distance_sts_kijowski = model_distance(*(d[name] for name in COMPARED_PAIR))
+    return ScenarioResult(config=cfg, points=list(points.values()))
 
 
 def _point_path(base: Path, v0: float) -> Path:

@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import re
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -116,9 +118,10 @@ class TestRun:
         text = json.dumps(small_result.summary())
         assert "l1_distance_sts_kijowski" in text
 
-    # 9 heights make three blocks, the last one partial, so two workers run
-    # side by side; they share the cached transform plan and amplitude, and
-    # the densities, files and summary must not depend on the worker count.
+    # 9 heights make three blocks, the last one partial, so the pool
+    # transforms while the calling thread builds; the transforms share the
+    # cached plan, and the densities, files and summary must not depend on
+    # the worker count.
     # slices:7 builds Kijowski's closed form apart, slices:50 reuses the sts one
     def test_threaded_run_matches_serial(self, tmp_path):
         heights = [float(v) for v in np.linspace(0.0, 6.0, 9)]
@@ -161,9 +164,9 @@ class TestRun:
                 assert np.array_equal(dist.density, alone.distributions[name].density)
 
     # more workers than cores, as many blocks as workers and a short switch
-    # interval, so that workers interleave inside the shared caches (the
-    # chirp-z plan, initial amplitudes, free flights), which a run on another
-    # time grid has just emptied of this run's plan
+    # interval, so that the pool threads interleave inside the chirp-z plan's
+    # cache, the only cache they share, which a run on another time grid has
+    # just emptied of this run's plan
     def test_threads_fill_the_shared_caches_without_lost_updates(self):
         heights = [float(v) for v in np.linspace(0.0, 6.0, 16)]
         cfg = fig2(barrier={"v0": heights}, tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256})
@@ -182,6 +185,52 @@ class TestRun:
         for a, b in zip(threaded.points, serial.points):
             for name, dist in a.distributions.items():
                 assert np.array_equal(dist.density, b.distributions[name].density)
+
+    # 9 heights make 3 blocks of 2 transmitted-packet models, so 6 stacks:
+    # a pool of more threads would have nothing for the rest to transform.
+    # The wrapper starts at most 6 whatever it is asked for
+    def test_pool_has_no_more_threads_than_stacks(self, monkeypatch):
+        requested = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 6), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 9)]
+        cfg = fig2(barrier={"v0": heights}, tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256})
+        serial = run_scenario(cfg)
+        assert run_scenario(cfg, max_workers=64).summary() == serial.summary()
+        assert requested and all(n <= 6 for n in requested), requested
+
+    # the calling thread builds every amplitude, density and distance; the
+    # pool threads run only the stacked transforms
+    def test_pool_threads_only_transform(self, monkeypatch):
+        threads = {}
+
+        def on_thread(name, fn):
+            def wrapped(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("barrier_amplitude", "transmitted_amplitude", "model_distance",
+                     "fourier_E_to_t"):
+            monkeypatch.setattr(scenario, name, on_thread(name, getattr(scenario, name)))
+        monkeypatch.setattr(TOADistribution, "from_transform", classmethod(on_thread(
+            "from_transform", TOADistribution.from_transform.__func__)))
+        heights = [float(v) for v in np.linspace(0.0, 6.0, 9)]
+        for method in ("closed", "slices:7"):
+            threads.clear()
+            run_scenario(fig2(barrier={"v0": heights}, method=method,
+                              tgrid={"t_min": 0.0, "t_max": 150.0, "n": 256}), max_workers=2)
+            caller = {threading.get_ident()}
+            transforms = threads.pop("fourier_E_to_t")
+            assert set(threads) == {"barrier_amplitude", "transmitted_amplitude",
+                                    "model_distance", "from_transform"}
+            assert all(idents == caller for idents in threads.values()), threads
+            assert not transforms & caller
 
     # on an explicit egrid (here fig2's default span at 2**14 energies) both
     # transmitted-packet models run on it; 50 slices of [0, 50] give the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -465,16 +465,35 @@ def emit_csv(result: ScenarioResult, path) -> list[Path]:
     paths = ([base] if len(result.points) == 1
              else [_point_path(base, pt.v0) for pt in result.points])
     t = result.tgrid.samples
-    for pt, p in zip(result.points, paths):
-        dists = [pt.distributions.get(name) for name in _CURVES]
-        cols = [t] + [None if d is None else d.density for d in dists] + [pt.flux]
-        # one % per block of rows gives the digits of per-field f"{x:.17g}"
-        row = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
-        table = np.column_stack([c for c in cols if c is not None])
-        blocks = (table[i:i + _CSV_BLOCK] for i in range(0, len(table), _CSV_BLOCK))
+    columns = [[t] + [None if d is None else d.density
+                      for d in map(pt.distributions.get, _CURVES)] + [pt.flux]
+               for pt in result.points]
+    # an array that more than one column uses (the time grid, a density the
+    # heights share) is formatted once, one string per block of rows; the
+    # memo holds the array, so its id stays its own until the call returns
+    uses = Counter(id(c) for cols in columns for c in cols if c is not None)
+    memo = {}
+    starts = range(0, len(t), _CSV_BLOCK)
+    for cols, p in zip(columns, paths):
+        present = [c for c in cols if c is not None]
+        for c in present:
+            if uses[id(c)] > 1 and id(c) not in memo:
+                memo[id(c)] = c, [("%.17g\n" * len(b)) % tuple(b.tolist())
+                                  for b in (c[i:i + _CSV_BLOCK] for i in starts)]
+        # one % per block of rows gives the digits of per-field f"{x:.17g}";
+        # a memo's text goes in through %s, the file's own columns through %.17g
+        row = ",".join("" if c is None else "%s" if id(c) in memo else "%.17g"
+                       for c in cols) + "\n"
+        k = len(present)
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_CSV_HEADER + "\n")
-            fh.writelines(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+            for blk, i in enumerate(starts):
+                n = min(_CSV_BLOCK, len(t) - i)
+                fields = [None] * (n * k)
+                for j, c in enumerate(present):
+                    fields[j::k] = (memo[id(c)][1][blk].splitlines() if id(c) in memo
+                                    else c[i:i + n].tolist())
+                fh.write(row * n % tuple(fields))
     return paths
 
 

@@ -17,6 +17,7 @@ _COLORS = ["#1f3a93", "#c0392b", "#1e8449", "#7d3c98"]
 _WIDTH, _HEIGHT = 480, 320  # of one panel
 _X_LABEL, _Y_LABEL = "t", "\U0001d4ab(t|x)"
 _N_TICKS = 5
+_BLOCK = 256  # points per formatted block of a polyline
 
 
 @dataclass
@@ -44,6 +45,18 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [float(v) for v in raw]
 
 
+def _blocks(values: np.ndarray):
+    return (values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK))
+
+
+def _points(xs: list[str], ys: np.ndarray) -> str:
+    """``"x,y "`` per point, from x text and y values formatted here."""
+    fields = [None] * (2 * len(ys))
+    fields[::2] = xs
+    fields[1::2] = ys.tolist()
+    return ("%s,%.2f " * len(ys)) % tuple(fields)
+
+
 def render_svg(panels: list[Panel], path: str):
     """Write a standalone multi-panel SVG, one panel per row."""
     if not panels:
@@ -59,6 +72,8 @@ def _svg_lines(panels: list[Panel]):
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">')
     yield '<rect width="100%" height="100%" fill="white"/>'
+    # (id(t), t_lo, t_hi) -> (t, its x text per block); holding t keeps its id
+    x_text = {}
     for ip, panel in enumerate(panels):
         oy = ip * _HEIGHT
         x0, x1 = pad_l, _WIDTH - pad_r
@@ -98,9 +113,14 @@ def _svg_lines(panels: list[Panel]):
             color = _COLORS[ic % len(_COLORS)]
             dash = _STYLES.get(c.style, "")
             # sx and sy act elementwise in the scalar operation order, and one
-            # "%.2f" per value prints what per-point f"{v:.2f}" printed
-            xy = np.column_stack((sx(c.t), sy(c.rho)))
-            pts = ("%.2f,%.2f " * len(xy))[:-1] % tuple(xy.ravel().tolist())
+            # "%.2f" per value prints what per-point f"{v:.2f}" printed; the
+            # x text of a (t, t_lo, t_hi) is formatted once per call
+            key = id(c.t), t_lo, t_hi
+            if key not in x_text:
+                x_text[key] = c.t, [("%.2f " * len(b)) % tuple(b.tolist())
+                                    for b in _blocks(sx(c.t))]
+            blocks = zip(x_text[key][1], _blocks(sy(c.rho)), strict=True)
+            pts = "".join(_points(xs.split(), b) for xs, b in blocks)[:-1]
             yield (f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5" {dash}/>')
             ly = y1 + 14 * ic

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -337,6 +338,35 @@ class TestCsv:
                     for name in _DENSITY_COLUMNS] + [pt.flux]
             assert path.read_bytes() == _csv_reference(cfg.tgrid.samples, cols).encode()
 
+    # run_scenario gives every height one free-Kijowski array, which emit_csv
+    # formats once: here that array is a column of every point and a second
+    # one of the last, one point lacks a model and flux comes and goes; each
+    # file, and the single-height file written to exactly its path, must
+    # still be the per-field rendering
+    def test_shared_columns_match_per_field_formatting(self, tmp_path):
+        rng = np.random.default_rng(17)
+        cfg = fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 600})
+        n = cfg.tgrid.n
+        shared = _awkward_values(rng, n)
+        points = []
+        for k, v0 in enumerate((0.0, 1.125, 1.8, 4.5)):
+            dists = {"kijowski_free": TOADistribution(cfg.tgrid, shared, 1.0)}
+            if k != 1:
+                dists["sts"] = TOADistribution(cfg.tgrid, _awkward_values(rng, n), 1.0)
+            dists["kijowski_transmitted"] = TOADistribution(
+                cfg.tgrid, shared if k == 3 else _awkward_values(rng, n), 1.0)
+            flux = _awkward_values(rng, n) * rng.choice([-1.0, 1.0], n) if k % 2 else None
+            points.append(SweepPoint(v0=v0, distributions=dists, flux=flux))
+        assert n % scenario._CSV_BLOCK  # a partial last block
+        for name, pts in (("sweep", points), ("one", points[3:])):
+            path = tmp_path / f"{name}.csv"
+            paths = emit_csv(ScenarioResult(config=cfg, points=pts), path)
+            assert len(paths) == len(pts) and (len(pts) > 1 or paths == [path])
+            for pt, p in zip(pts, paths):
+                cols = [pt.distributions[m].density if m in pt.distributions else None
+                        for m in _DENSITY_COLUMNS] + [pt.flux]
+                assert p.read_bytes() == _csv_reference(cfg.tgrid.samples, cols).encode()
+
 
 _DENSITY_COLUMNS = ("sts", "kijowski_transmitted", "kijowski_free")
 
@@ -396,6 +426,47 @@ class TestSvg:
         text = (tmp_path / "pin.svg").read_text(encoding="utf-8")
         got = re.findall(r'<polyline points="([^"]*)"', text)
         assert got == _polyline_reference(panels)
+
+    # the x text of a t array is formatted once per panel t range: panels
+    # that share one t array over different ranges (the second carries a
+    # wider curve) and panels whose t arrays are equal but distinct objects
+    # must each give the per-point rendering
+    def test_shared_t_arrays_match_per_point_formatting(self, tmp_path):
+        rng = np.random.default_rng(23)
+        t = _boundary_curve(rng, 1800, 1.0).t
+
+        def on(t_arr, r_max=1.0):
+            return Curve(label="pin", t=t_arr, rho=_boundary_curve(rng, len(t_arr), r_max).rho)
+
+        wide = np.linspace(-30.0, 180.0, 700)
+        layouts = {
+            "ranges": [Panel("a", [on(t), on(t, 0.5)]), Panel("b", [on(t), on(wide, 0.7)]),
+                       Panel("c", [on(t, 0.8), on(t)])],
+            "copies": [Panel(f"panel {k}", [on(t.copy()), on(t.copy(), 0.6)]) for k in range(3)],
+        }
+        for name, panels in layouts.items():
+            render_svg(panels, str(tmp_path / f"{name}.svg"))
+            text = (tmp_path / f"{name}.svg").read_text(encoding="utf-8")
+            got = re.findall(r'<polyline points="([^"]*)"', text)
+            assert got == _polyline_reference(panels), name
+
+    # the emitters' memos live for one call: once the caller lets go of the
+    # arrays they formatted, nothing is left that holds them
+    def test_emitters_keep_no_formatted_array(self, tmp_path):
+        rng = np.random.default_rng(29)
+        cfg = fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 300})
+        n = cfg.tgrid.n
+        shared, flux = rng.random(n), rng.random(n)
+        t = cfg.tgrid.samples.copy()
+        refs = [weakref.ref(a) for a in (shared, flux, t)]
+        points = [SweepPoint(v0=v0, distributions={
+            "kijowski_free": TOADistribution(cfg.tgrid, shared, 1.0)}, flux=flux)
+            for v0 in (0.0, 1.8)]
+        emit_csv(ScenarioResult(config=cfg, points=points), tmp_path / "weak.csv")
+        render_svg([Panel("p", [Curve("a", t, shared), Curve("b", t, flux)]),
+                    Panel("q", [Curve("a", t, flux)])], str(tmp_path / "weak.svg"))
+        del points, shared, flux, t
+        assert [r() for r in refs] == [None, None, None]
 
 
 def _boundary_curve(rng, n, r_max):

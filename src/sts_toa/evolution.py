@@ -243,13 +243,11 @@ def check_scattering_setup(spec: GaussianPacketSpec, length: float, x: float):
 
 
 def barrier_amplitude(spec: GaussianPacketSpec, v0: float, length: float, x: float,
-                      egrid: EnergyGrid | None = None,
-                      n_slices: int | None = None) -> SpectralAmplitude:
-    """Space-conditional amplitude at the detector x > length behind a square
-    barrier: the initial amplitude at x0 = 0 translated across the barrier
-    (closed form, or n_slices equal slices when given)."""
+                      egrid: EnergyGrid, n_slices: int | None = None) -> SpectralAmplitude:
+    """Space-conditional amplitude on ``egrid`` at the detector x > length
+    behind a square barrier: the initial amplitude at x0 = 0 translated across
+    the barrier (closed form, or n_slices equal slices when given)."""
     check_scattering_setup(spec, length, x)
-    egrid = egrid if egrid is not None else default_energy_grid(spec)
     pot = PiecewisePotential.square_barrier(v0, length)
     return propagate(sc_initial_amplitude(spec, egrid), pot, x, n_slices)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +47,6 @@ _CURVES = {"sts": ("solid", "STS"),
 MODEL_NAMES = (*_CURVES, "flux_oracle")
 
 _CSV_HEADER = ",".join(["t", *(f"rho_{name}" for name in _CURVES), "flux"])
-_CSV_BLOCK = 256  # rows per formatted block
 
 _METHOD_RE = re.compile(r"^(closed|slices:(\d+))$")
 
@@ -451,6 +450,11 @@ def _point_path(base: Path, v0: float) -> Path:
     return base.with_name(f"{base.stem}_v0_{tag}{base.suffix}")
 
 
+def _fields(values: np.ndarray) -> list[str]:
+    """Each value as ``f"{x:.17g}"`` gives it, from one ``%`` over the array."""
+    return ("%.17g\n" * len(values) % tuple(values.tolist())).splitlines()
+
+
 def emit_csv(result: ScenarioResult, path) -> list[Path]:
     """Write the density/flux table(s); one file per barrier height.
 
@@ -465,35 +469,19 @@ def emit_csv(result: ScenarioResult, path) -> list[Path]:
     paths = ([base] if len(result.points) == 1
              else [_point_path(base, pt.v0) for pt in result.points])
     t = result.tgrid.samples
-    columns = [[t] + [None if d is None else d.density
-                      for d in map(pt.distributions.get, _CURVES)] + [pt.flux]
-               for pt in result.points]
-    # an array that more than one column uses (the time grid, a density the
-    # heights share) is formatted once, one string per block of rows; the
-    # memo holds the array, so its id stays its own until the call returns
-    uses = Counter(id(c) for cols in columns for c in cols if c is not None)
-    memo = {}
-    starts = range(0, len(t), _CSV_BLOCK)
-    for cols, p in zip(columns, paths):
-        present = [c for c in cols if c is not None]
-        for c in present:
-            if uses[id(c)] > 1 and id(c) not in memo:
-                memo[id(c)] = c, [("%.17g\n" * len(b)) % tuple(b.tolist())
-                                  for b in (c[i:i + _CSV_BLOCK] for i in starts)]
-        # one % per block of rows gives the digits of per-field f"{x:.17g}";
-        # a memo's text goes in through %s, the file's own columns through %.17g
-        row = ",".join("" if c is None else "%s" if id(c) in memo else "%.17g"
-                       for c in cols) + "\n"
-        k = len(present)
+    empty = [""] * len(t)
+    # id -> (array, its fields) for the columns of the last file written; an
+    # array the next file uses too (the time grid, a density the heights
+    # share) keeps its text, and holding the array keeps its id its own
+    text = {}
+    for pt, p in zip(result.points, paths):
+        cols = [t, *(None if d is None else d.density
+                     for d in map(pt.distributions.get, _CURVES)), pt.flux]
+        text = {id(c): text.get(id(c)) or (c, _fields(c)) for c in cols if c is not None}
+        fields = [empty if c is None else text[id(c)][1] for c in cols]
+        rows = map(",".join, zip(*fields, strict=True))
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for blk, i in enumerate(starts):
-                n = min(_CSV_BLOCK, len(t) - i)
-                fields = [None] * (n * k)
-                for j, c in enumerate(present):
-                    fields[j::k] = (memo[id(c)][1][blk].splitlines() if id(c) in memo
-                                    else c[i:i + n].tolist())
-                fh.write(row * n % tuple(fields))
+            fh.write(_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     return paths
 
 

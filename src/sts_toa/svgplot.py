@@ -17,7 +17,6 @@ _COLORS = ["#1f3a93", "#c0392b", "#1e8449", "#7d3c98"]
 _WIDTH, _HEIGHT = 480, 320  # of one panel
 _X_LABEL, _Y_LABEL = "t", "\U0001d4ab(t|x)"
 _N_TICKS = 5
-_BLOCK = 256  # points per formatted block of a polyline
 
 
 @dataclass
@@ -34,10 +33,6 @@ class Panel:
     curves: list[Curve] = field(default_factory=list)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -45,16 +40,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [float(v) for v in raw]
 
 
-def _blocks(values: np.ndarray):
-    return (values[i:i + _BLOCK] for i in range(0, len(values), _BLOCK))
-
-
-def _points(xs: list[str], ys: np.ndarray) -> str:
-    """``"x,y "`` per point, from x text and y values formatted here."""
-    fields = [None] * (2 * len(ys))
-    fields[::2] = xs
-    fields[1::2] = ys.tolist()
-    return ("%s,%.2f " * len(ys)) % tuple(fields)
+def _coords(values: np.ndarray) -> list[str]:
+    """Each value as ``f"{v:.2f}"`` gives it, from one ``%`` over the array."""
+    return ("%.2f\n" * len(values) % tuple(values.tolist())).splitlines()
 
 
 def render_svg(panels: list[Panel], path: str):
@@ -72,7 +60,7 @@ def _svg_lines(panels: list[Panel]):
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">')
     yield '<rect width="100%" height="100%" fill="white"/>'
-    # (id(t), t_lo, t_hi) -> (t, its x text per block); holding t keeps its id
+    # (id(t), t_lo, t_hi) -> (t, its x text); holding t keeps its id
     x_text = {}
     for ip, panel in enumerate(panels):
         oy = ip * _HEIGHT
@@ -98,7 +86,7 @@ def _svg_lines(panels: list[Panel]):
         for tv in _ticks(t_lo, t_hi):
             px = sx(tv)
             yield f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>'
-            yield f'<text x="{px:.2f}" y="{y0 + 16}" text-anchor="middle">{_fmt(tv)}</text>'
+            yield f'<text x="{px:.2f}" y="{y0 + 16}" text-anchor="middle">{tv:.2f}</text>'
         for rv in _ticks(0.0, 1.05 * r_hi):
             py = sy(rv)
             yield f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>'
@@ -112,15 +100,12 @@ def _svg_lines(panels: list[Panel]):
         for ic, c in enumerate(panel.curves):
             color = _COLORS[ic % len(_COLORS)]
             dash = _STYLES.get(c.style, "")
-            # sx and sy act elementwise in the scalar operation order, and one
-            # "%.2f" per value prints what per-point f"{v:.2f}" printed; the
-            # x text of a (t, t_lo, t_hi) is formatted once per call
+            # sx and sy act elementwise in the scalar operation order; the x
+            # text of a (t, t_lo, t_hi) is formatted once per call
             key = id(c.t), t_lo, t_hi
             if key not in x_text:
-                x_text[key] = c.t, [("%.2f " * len(b)) % tuple(b.tolist())
-                                    for b in _blocks(sx(c.t))]
-            blocks = zip(x_text[key][1], _blocks(sy(c.rho)), strict=True)
-            pts = "".join(_points(xs.split(), b) for xs, b in blocks)[:-1]
+                x_text[key] = c.t, _coords(sx(c.t))
+            pts = " ".join(map(",".join, zip(x_text[key][1], _coords(sy(c.rho)), strict=True)))
             yield (f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5" {dash}/>')
             ly = y1 + 14 * ic

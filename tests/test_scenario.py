@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -357,7 +358,6 @@ class TestCsv:
                 cfg.tgrid, shared if k == 3 else _awkward_values(rng, n), 1.0)
             flux = _awkward_values(rng, n) * rng.choice([-1.0, 1.0], n) if k % 2 else None
             points.append(SweepPoint(v0=v0, distributions=dists, flux=flux))
-        assert n % scenario._CSV_BLOCK  # a partial last block
         for name, pts in (("sweep", points), ("one", points[3:])):
             path = tmp_path / f"{name}.csv"
             paths = emit_csv(ScenarioResult(config=cfg, points=pts), path)
@@ -366,6 +366,33 @@ class TestCsv:
                 cols = [pt.distributions[m].density if m in pt.distributions else None
                         for m in _DENSITY_COLUMNS] + [pt.flux]
                 assert p.read_bytes() == _csv_reference(cfg.tgrid.samples, cols).encode()
+
+    # text is kept from one file to the next only for arrays both use (the
+    # time grid, the free-Kijowski density every height shares), so what the
+    # emitter holds at once stays about one file's worth, however many heights
+    def test_text_held_does_not_grow_with_heights(self, tmp_path):
+        rng = np.random.default_rng(31)
+        cfg = fig2(tgrid={"t_min": 0.0, "t_max": 150.0, "n": 1024})
+        n = cfg.tgrid.n
+        shared = rng.random(n)
+
+        def peak(heights):
+            points = []
+            for v0 in np.linspace(0.0, 6.0, heights):
+                dists = {name: TOADistribution(cfg.tgrid, rng.random(n), 1.0)
+                         for name in ("sts", "kijowski_transmitted")}
+                dists["kijowski_free"] = TOADistribution(cfg.tgrid, shared, 1.0)
+                points.append(SweepPoint(v0=float(v0), distributions=dists))
+            result = ScenarioResult(config=cfg, points=points)
+            tracemalloc.start()
+            try:
+                emit_csv(result, tmp_path / f"held{heights}.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        four, many = peak(4), peak(32)
+        assert many <= 1.5 * four, (four, many)
 
 
 _DENSITY_COLUMNS = ("sts", "kijowski_transmitted", "kijowski_free")

@@ -28,6 +28,12 @@ __all__ = ["GridSolverConfig", "CNResult", "ProbeSeries", "FluxSeries",
 # the largest grid any test or benchmark uses
 _MAX_GRID_SIZE = 2**20
 
+# gap from the transmitted-norm cut to the right ramp of the barrier runs.
+# Reflection off the 30-wide ramp moves the fig2 reading at V0 = 1.8 by
+# 1.9e-7 at 10, 6.8e-8 at 20 and 4.2e-8 at 40, against a domain that keeps
+# the packet; it is 700x below that reading's gap to Kijowski (1.3e-4)
+_CUT_MARGIN = 10.0
+
 # bound on the phase E_max dt of one CN step at the packet's top energy: CN
 # advances a component of energy E by 2 arctan(E dt / 2) rather than E dt,
 # a phase error of (E dt)^3 / 12 per step (3.4e-4 rad at the bound)
@@ -153,6 +159,9 @@ class CNResult:
     psi_final: np.ndarray                   # wave function at times[-1]
     probes: dict = field(default_factory=dict)
     m: float = 1.0
+    x_cut: float | None = None              # the cut the run named, if any
+    absorbed: float = 0.0                   # norm the right ramp absorbed, when
+                                            # the run named a cut
 
 
 def _sample_potential(pot: PiecewisePotential, xs: np.ndarray) -> np.ndarray:
@@ -251,7 +260,8 @@ def _probe_index(cfg: GridSolverConfig, px: float) -> int:
 def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
                           cfg: GridSolverConfig,
                           probe_x: Sequence[float] = (),
-                          vt: Callable[[float], float] | None = None) -> CNResult:
+                          vt: Callable[[float], float] | None = None,
+                          x_cut: float | None = None) -> CNResult:
     """Propagate the packet with the Crank-Nicolson scheme.
 
     Dirichlet walls; optional imaginary polynomial absorbing ramp of width
@@ -259,6 +269,14 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
     adds a spatially uniform time-dependent potential, evaluated at the step
     midpoint.  ``probe_x`` grid points are recorded at every step; of the
     full wave function only the final state is kept.
+
+    ``x_cut`` names a cut left of the right ramp, and the run then sums the
+    norm that ramp absorbs, for ``transmitted_norm``.  With H = H0 - i W
+    (W >= 0 the ramps), a step changes the norm by exactly
+    -2 dt dx sum W |psi_mid|^2, psi_mid = (psi^n + psi^(n+1)) / 2, which is
+    half of the 2 A^-1 psi^n that the step forms; the sum runs over the
+    right ramp's nodes only.  ValueError unless the grid has ramps and the
+    right one starts past x_cut.
 
     Scheme: with A = 1 + i H dt / 2, the step A psi^(n+1) = (2 - A) psi^n
     is taken as psi^(n+1) = 2 A^-1 psi^n - psi^n (Goldberg, Schey & Schwartz,
@@ -287,6 +305,14 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
             v = v - 1j * eta * ramp**4
 
     d2, d1, d0 = _hamiltonian_diagonals(v, dx, m)
+    if x_cut is not None:
+        ramp_start = cfg.x_max - cfg.absorber_width
+        if not (cfg.absorber_width > 0.0 and x_cut < ramp_start):
+            raise ValueError(f"the right absorbing ramp must start past the cut "
+                             f"x = {x_cut:g} (it starts at {ramp_start:g})")
+        j0 = int(np.searchsorted(x, ramp_start, side="right"))
+        # sqrt(W) on the right ramp; the wall row of H, and so its W, is 0
+        root_w = np.sqrt(-d0[j0:].imag)
     alpha = 1j * cfg.dt / 2.0
     # LAPACK band storage of A (kl = ku = 2): A[i, j] sits at ab[4 + i - j, j];
     # rows 0-1 are workspace for the fill-in of the pivoted factorisation
@@ -322,17 +348,23 @@ def crank_nicolson_evolve(spec: GaussianPacketSpec, pot: PiecewisePotential,
 
     record(0, psi)
 
+    absorbed = 0.0
     for i in range(1, n_steps + 1):
         if vt is not None:
             solve = factor(float(vt(times[i - 1] + 0.5 * cfg.dt)))
         psi_next = solve(psi)
+        if x_cut is not None:
+            # psi_next is 2 psi_mid until the subtraction
+            w_psi = root_w * psi_next[j0:]
+            absorbed += np.vdot(w_psi, w_psi).real
         psi_next -= psi
         psi = psi_next
         norms[i] = dx * np.vdot(psi, psi).real
         record(i, psi)
 
     return CNResult(x=x, times=times, norms=norms, psi_final=psi,
-                    probes=probes, m=m)
+                    probes=probes, m=m, x_cut=x_cut,
+                    absorbed=0.5 * cfg.dt * dx * absorbed)
 
 
 @dataclass
@@ -369,11 +401,18 @@ def flux_toa(result: CNResult, x_detector: float) -> FluxSeries:
 
 
 def transmitted_norm(result: CNResult, x_cut: float) -> float:
-    """Norm beyond x_cut in the final state."""
+    """Norm beyond x_cut in the final state, plus the norm the right ramp
+    absorbed when the run named x_cut (``crank_nicolson_evolve``).
+
+    ValueError if the run named a different cut.
+    """
+    if result.x_cut is not None and x_cut != result.x_cut:
+        raise ValueError(f"the run counted the norm absorbed past x = "
+                         f"{result.x_cut:g}, not past {x_cut:g}")
     psi = result.psi_final
     dx = result.x[1] - result.x[0]
     mask = result.x > x_cut
-    return dx * float(np.sum(np.abs(psi[mask]) ** 2))
+    return dx * float(np.sum(np.abs(psi[mask]) ** 2)) + result.absorbed
 
 
 def _absorbed_grid(spec: GaussianPacketSpec, x_right: float, t_final: float,
@@ -424,23 +463,19 @@ def barrier_oracle_config(spec: GaussianPacketSpec, length: float,
 
     Returns (config, x_cut, t_measure): the transmitted norm is read beyond
     x_cut = L + 5 delta at t_measure = time_factor times the free classical
-    crossing time to x_cut.  The right ramp starts where the transmitted
-    front has not reached by t_measure.  The left ramp swallows the
-    reflected packet, which ``transmitted_norm`` never reads, so the domain
-    is not sized to carry it until t_measure.  A time factor whose grid
-    size overflows a double raises the grid builder's ConfigError naming
-    ``n_x``.
+    crossing time to x_cut.  The right ramp starts ``_CUT_MARGIN`` past
+    x_cut: a run that names x_cut counts what that ramp absorbs as
+    transmitted, so the domain does not carry the transmitted packet until
+    t_measure, and its size does not grow with ``time_factor``.  The left
+    ramp swallows the reflected packet, which ``transmitted_norm`` never
+    reads.  A time factor that needs more than 2**20 steps raises the grid
+    builder's ConfigError naming ``t_final``.
     """
     v = spec.p_i / spec.m
     x_cut = length + 5.0 * spec.delta
     t_meas = time_factor * (x_cut - spec.x_i) / v
-    # spread of the dispersing packet by t_meas; inf where it overflows
-    with np.errstate(over="ignore"):
-        width_t = spec.delta * np.sqrt(
-            1.0 + (np.float64(t_meas) / (2.0 * spec.m * spec.delta**2)) ** 2)
-    pad = 6.0 * width_t
-    x_right = max(spec.x_i + v * t_meas + pad, x_cut + pad)
-    return _absorbed_grid(spec, x_right, t_meas, dx_target), x_cut, t_meas
+    return (_absorbed_grid(spec, x_cut + _CUT_MARGIN, t_meas, dx_target),
+            x_cut, t_meas)
 
 
 def flux_oracle_config(spec: GaussianPacketSpec, detector_x: float,
@@ -462,18 +497,19 @@ def barrier_transmission_norm(spec: GaussianPacketSpec, v0: float, length: float
     """Late-time transmitted norm from the grid solver.
 
     Runs the barrier scattering on ``barrier_oracle_config``'s grids at
-    dx = 0.25 and 0.125 and Richardson-extrapolates the second-order
+    dx = 0.25 and 0.125, each reading the norm past x_cut plus what the
+    right ramp absorbed, and Richardson-extrapolates the second-order
     interface error away; the coarse/fine pair costs a fraction of one
     sufficiently fine run.  ``time_factor`` must be late enough that slow
     near-turning-point components have cleared the measurement cut: for the
-    fig2 packet at V0 = 1.8, 4 leaves a gap of 1.1e-3 to the transmitted
-    Kijowski arrival probability and 5 one of 1.7e-4.
+    fig2 packet at V0 = 1.8, 3 leaves a gap of 4.0e-3 to the transmitted
+    Kijowski arrival probability, 4 one of 1.09e-3 and 5 one of 1.74e-4.
     """
     pot = PiecewisePotential.square_barrier(v0, length)
     # both grids are built before either run, so an oversized one fails fast
     runs = [barrier_oracle_config(spec, length, dx_target=dx, time_factor=time_factor)
             for dx in (0.25, 0.125)]
-    norms = [transmitted_norm(crank_nicolson_evolve(spec, pot, cfg), x_cut)
+    norms = [transmitted_norm(crank_nicolson_evolve(spec, pot, cfg, x_cut=x_cut), x_cut)
              for cfg, x_cut, _ in runs]
     return (4.0 * norms[1] - norms[0]) / 3.0
 

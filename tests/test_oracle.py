@@ -7,7 +7,8 @@ from sts_toa.errors import UnstableConfig
 from sts_toa.evolution import barrier_amplitude
 from sts_toa.kijowski import transmitted_amplitude
 from sts_toa.numerics import TimeGrid, fourier_E_to_t
-from sts_toa.oracle import (GridSolverConfig, _band_solver, _lapack_info,
+from sts_toa.oracle import (_CUT_MARGIN, GridSolverConfig, _absorbed_grid,
+                            _band_solver, _lapack_info, _probe_index,
                             _sample_potential, barrier_oracle_config,
                             crank_nicolson_evolve, energy_integral_reference,
                             flux_oracle_config, flux_toa, time_potential_solution,
@@ -120,6 +121,80 @@ def absorbed_runs(spec):
             for vt in (None, lambda t: 0.0)]
 
 
+@pytest.fixture(scope="module")
+def cut_run(spec):
+    """absorbed_runs' first run with a cut named at x = 20, left of the right
+    ramp (which starts at x = 34); the left ramp is never reached."""
+    cfg = dataclasses.replace(FREE_GRID, t_final=60.0, absorber_width=30.0)
+    return crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg,
+                                 probe_x=(0.0, 40.0), x_cut=20.0)
+
+
+class TestAbsorbedNorm:
+    def test_right_ramp_loss_is_the_norm_lost(self, cut_run):
+        # only the right ramp absorbs, so what it absorbed is the whole loss;
+        # the CN identity is exact up to rounding (measured ~2e-13)
+        lost = cut_run.norms[0] - cut_run.norms[-1]
+        assert lost > 0.5
+        assert abs(cut_run.absorbed - lost) < 1e-12
+
+    def test_transmitted_norm_is_all_that_crossed_the_cut(self, cut_run):
+        dx = cut_run.x[1] - cut_run.x[0]
+        behind = dx * np.sum(np.abs(cut_run.psi_final[cut_run.x <= 20.0]) ** 2)
+        assert abs(transmitted_norm(cut_run, 20.0) + behind - cut_run.norms[0]) < 1e-12
+
+    def test_naming_a_cut_leaves_the_run_bit_identical(self, absorbed_runs, cut_run):
+        plain = absorbed_runs[0]
+        assert plain.x_cut is None and plain.absorbed == 0.0
+        assert np.array_equal(plain.psi_final, cut_run.psi_final)
+        assert np.array_equal(plain.norms, cut_run.norms)
+        for px, probe in plain.probes.items():
+            assert np.array_equal(probe.values, cut_run.probes[px].values)
+            assert np.array_equal(probe.derivs, cut_run.probes[px].derivs)
+
+    @pytest.mark.parametrize("x_cut, width", [(34.0, 30.0), (20.0, 0.0)])
+    def test_cut_must_lie_left_of_the_right_ramp(self, spec, x_cut, width):
+        cfg = dataclasses.replace(FREE_GRID, t_final=1.0, absorber_width=width)
+        with pytest.raises(ValueError, match="right absorbing ramp"):
+            crank_nicolson_evolve(spec, PiecewisePotential.free(), cfg, x_cut=x_cut)
+
+    def test_norm_read_at_another_cut_rejected(self, cut_run):
+        with pytest.raises(ValueError, match="absorbed past x = 20"):
+            transmitted_norm(cut_run, 10.0)
+
+
+class TestBarrierOracleGrid:
+    @pytest.mark.parametrize("time_factor", [1.5, 4.0, 5.0, 6.0])
+    def test_right_ramp_past_the_cut_and_probe_inside(self, spec, time_factor):
+        for dx, n_x in ((0.25, 961), (0.125, 1921)):
+            cfg, x_cut, _ = barrier_oracle_config(spec, 10.0, time_factor=time_factor,
+                                                  dx_target=dx)
+            # the domain ends at the cut, whatever the measurement time
+            assert cfg.n_x == n_x
+            assert cfg.x_max - cfg.absorber_width >= x_cut + _CUT_MARGIN
+            # a probe at x = 50, at least two nodes inside the walls
+            assert cfg.x[_probe_index(cfg, 50.0)] == 50.0
+
+    def test_short_domain_reads_the_long_domains_norm(self, spec):
+        # the coarse grid at V0 = 1.125, time factor 1.5, against a domain
+        # that keeps the transmitted packet until t_measure (the right ramp
+        # past x_i + v t_measure + 6 widths), read as the norm past the cut
+        # alone; measured 9.3e-8 apart: the fast part of the initial
+        # in-barrier mass, which reaches the long domain's ramp, and the
+        # short ramp's reflection
+        pot = PiecewisePotential.square_barrier(1.125, 10.0)
+        cfg, x_cut, t_meas = barrier_oracle_config(spec, 10.0, time_factor=1.5,
+                                                   dx_target=0.25)
+        short = transmitted_norm(crank_nicolson_evolve(spec, pot, cfg, x_cut=x_cut),
+                                 x_cut)
+        width = spec.delta * np.hypot(1.0, t_meas / (2.0 * spec.m * spec.delta**2))
+        right = spec.x_i + spec.p_i / spec.m * t_meas + 6.0 * width
+        long_cfg = _absorbed_grid(spec, right, t_meas, 0.25)
+        assert long_cfg.n_x > cfg.n_x
+        long = transmitted_norm(crank_nicolson_evolve(spec, pot, long_cfg), x_cut)
+        assert abs(short - long) < 1e-6
+
+
 class TestCrankNicolson:
     def test_norm_conserved(self, free_run):
         assert np.max(np.abs(free_run.norms - free_run.norms[0])) < 1e-8
@@ -168,7 +243,8 @@ class TestCrankNicolson:
         cfg, x_cut, _ = barrier_oracle_config(spec, 10.0, time_factor=1.5,
                                               dx_target=0.25)
         pot = PiecewisePotential.square_barrier(1.125, 10.0)
-        coarse, fine = (transmitted_norm(crank_nicolson_evolve(spec, pot, c), x_cut)
+        coarse, fine = (transmitted_norm(crank_nicolson_evolve(spec, pot, c, x_cut=x_cut),
+                                         x_cut)
                         for c in (cfg, dataclasses.replace(cfg, dt=cfg.dt / 2)))
         assert abs(fine - coarse) < 1e-4
 

@@ -13,8 +13,7 @@ from .errors import (ConfigError, DivergenceWarning, GridMismatch, GridTooCoarse
                      UnstableConfig, ZeroArrival)
 from .evolution import (TOADistribution, barrier_amplitude, barrier_toa, free_kijowski,
                         propagate, toa_density)
-from .kijowski import (model_distance, transmission_amplitude, transmitted_amplitude,
-                       transmitted_kijowski)
+from .kijowski import model_distance, transmitted_amplitude, transmitted_kijowski
 from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t
 from .packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                      psi_momentum, psi_position, sc_initial_amplitude)
@@ -31,6 +30,6 @@ __all__ = [
     "TimeGrid", "UnstableConfig", "ZeroArrival", "barrier_amplitude", "barrier_toa",
     "default_energy_grid", "emit_csv", "emit_svg", "fourier_E_to_t",
     "free_kijowski", "model_distance", "propagate", "psi_momentum", "psi_position",
-    "run_scenario", "sc_initial_amplitude", "toa_density", "transmission_amplitude",
-    "transmitted_amplitude", "transmitted_kijowski",
+    "run_scenario", "sc_initial_amplitude", "toa_density", "transmitted_amplitude",
+    "transmitted_kijowski",
 ]

@@ -147,10 +147,10 @@ def _cmd_oracle(args) -> int:
 
 def _selfcheck_cases():
     from .evolution import propagate
-    from .kijowski import transmission_amplitude
+    from .kijowski import transmitted_amplitude
     from .numerics import EnergyGrid, TimeGrid, fourier_E_to_t
     from .oracle import transfer_matrix_T
-    from .packet import GaussianPacketSpec, sc_initial_amplitude
+    from .packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
     from .potential import PiecewisePotential
 
     spec = GaussianPacketSpec(x_i=-50.0, p_i=2.0, delta=10.0)
@@ -167,10 +167,14 @@ def _selfcheck_cases():
         return float(np.max(np.abs(fft - direct))), 1e-8
 
     def transfer_vs_closed():
-        p = np.linspace(0.501, 4.001, 512)
-        T, _ = transfer_matrix_T(p, 4.5, 10.0)
-        Tc = transmission_amplitude(p, 4.5, 10.0)
-        return float(np.max(np.abs(T - Tc))), 1e-10
+        # energies on both sides of V0 = 4.5: a unit amplitude carried
+        # across the barrier to x = L, times R, is T(P) exp(i P L)
+        grid = EnergyGrid(0.501**2 / 2, 4.001**2 / 2, 512)
+        unit = SpectralAmplitude(np.ones(grid.n), anchor_x=0.0, egrid=grid)
+        at_L = propagate(unit, PiecewisePotential.square_barrier(4.5, 10.0), 10.0)
+        p = np.sqrt(2.0 * grid.samples)
+        T = transfer_matrix_T(p, 4.5, 10.0)[0] * np.exp(1j * p * 10.0)
+        return float(np.max(np.abs(T - transmitted_amplitude(at_L, 4.5, 10.0).values))), 1e-10
 
     def unitarity():
         p = np.linspace(0.501, 4.001, 512)

@@ -19,8 +19,9 @@ the split, where the factor is the unit phase exp(i W_v kappa_v) that
 ``numerics.unit_phase`` forms from tan(W_v kappa_v / 2), and k_v = i kappa_v
 below it, where the factor is the decay exp(-W_v kappa_v).  The growth
 exponents -W_v kappa_v below the splits are summed and checked before any
-exponential is formed.  The free packet's detector phase exp(i P x) is a
-unit phase of the same helper.
+exponential is formed.  The free packet's detector phase exp(i P x) is the
+cached free flight over x, which a V0 = 0 translation to the same detector
+shares.
 
 A level inside the energy window is a square-root branch point of the
 amplitude, so ``propagate`` records it with its summed width in the result's
@@ -213,10 +214,10 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     """Arrival-time density of the free positive-momentum packet at x.
 
     Built directly from the momentum wave function weighted by sqrt(P) (in the
-    energy variable, (m/2E)^(1/4) psi_momentum), phase-shifted to the detector
-    and transformed to the time domain.  Coincides with the zero-potential
-    translation pipeline; the two paths are kept separate as a cross-check.
-    Without ``egrid`` it runs on the default grid of the window ``tgrid``
+    energy variable, (m/2E)^(1/4) psi_momentum), times the detector phase
+    exp(i P x), the cached free flight over x, and transformed to the time
+    domain, as the zero-potential translation to x is.  Without ``egrid`` it
+    runs on the default grid of the window ``tgrid``
     (``default_energy_grid(spec, tgrid)``).  Raises
     ConfigError unless the packet's momenta are essentially positive
     (``GaussianPacketSpec.has_positive_momenta``).
@@ -224,11 +225,8 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     if not spec.has_positive_momenta():
         raise ConfigError("packet", "the free Kijowski model needs p_i - 5 sigma_p > 0")
     egrid = egrid if egrid is not None else default_energy_grid(spec, tgrid)
-    amps0 = sc_initial_amplitude(spec, egrid)
-    Px = np.sqrt(2.0 * spec.m * egrid.samples)
-    Px *= x
-    values = unit_phase(Px)
-    values *= amps0.values
+    # factor first: NumPy's a0 * f and f * a0 can differ in the last digit
+    values = _free_flight(egrid, spec.m, x) * sc_initial_amplitude(spec, egrid).values
     amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
     return toa_density(amps, tgrid, method=method)
 

@@ -27,8 +27,6 @@ denominator D are assembled from these, and R is one complex division,
 which NumPy scales by the larger part of D.  Dividing by |D|^2 instead
 would fail at tiny energies: near E = 4e-179 without a barrier, D ~ 4 P^2 ~
 3e-178, so |D|^2 underflows to 0 and R would be 0 / 0 rather than 1.
-``transmission_amplitude`` forms its phase exp(-i (P - P') L) with NumPy's
-complex exp.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from .evolution import TOADistribution, barrier_amplitude, toa_density
 from .numerics import EnergyGrid, TimeGrid, trapezoid_complex, unit_phase
 from .packet import GaussianPacketSpec, SpectralAmplitude, default_energy_grid
 
-__all__ = ["transmission_amplitude", "transmitted_amplitude", "transmitted_kijowski",
-           "model_distance"]
+__all__ = ["transmitted_amplitude", "transmitted_kijowski", "model_distance"]
 
 
 def _multiple_reflections(P, kappa, split: int, length: float) -> np.ndarray:
@@ -94,32 +91,6 @@ def _multiple_reflections(P, kappa, split: int, length: float) -> np.ndarray:
         den[turn] = 4.0 * p - 2j * length * p**2
     num /= den
     return num
-
-
-def transmission_amplitude(P, v0: float, length: float, m: float = 1.0):
-    """Square-barrier transmission amplitude for incident momentum P > 0.
-
-        T(P) = R(P) exp(-i (P - P') L)
-
-    with R the multiple-reflection factor of the module docstring and
-    P' = sqrt(P^2 - 2 m v0) continued onto the positive imaginary axis below
-    the barrier.  Deep below the barrier T decays as exp(-|P'| L) and only
-    underflows.
-    """
-    P = np.asarray(P, dtype=float)
-    if np.any(P <= 0.0):
-        raise ValueError("transmission amplitude defined for P > 0 only")
-    order = np.argsort(P, axis=None)
-    p = P.reshape(-1)[order]
-    q = p**2 - 2.0 * m * v0  # P'^2, ascending
-    split = int(np.searchsorted(q, 0.0))
-    kappa = np.sqrt(np.abs(q))
-    Pp = kappa.astype(complex)
-    Pp[:split] *= 1j
-    T = _multiple_reflections(p, kappa, split, length) * np.exp(-1j * (p - Pp) * length)
-    out = np.empty_like(T)
-    out[order] = T
-    return complex(out[0]) if P.ndim == 0 else out.reshape(P.shape)
 
 
 def transmitted_amplitude(sts: SpectralAmplitude, v0: float,

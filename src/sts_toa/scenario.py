@@ -158,7 +158,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_forcible(self.models, self.v0_list, self.method)
-        object.__setattr__(self, "v0_list", tuple(sorted(set(self.v0_list))))  # sweep order
+        # sweep order, one height per value: -0.0 + 0.0 is 0.0
+        object.__setattr__(self, "v0_list", tuple(sorted({v + 0.0 for v in self.v0_list})))
         if not self.barrier_length > 0:
             raise ConfigError("barrier.length", "must be > 0")
         if set(COMPARED_PAIR) & set(self.models):

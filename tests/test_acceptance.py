@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from sts_toa.evolution import barrier_amplitude, barrier_toa, free_kijowski, toa_density
-from sts_toa.kijowski import (model_distance, transmission_amplitude,
-                              transmitted_kijowski)
+from sts_toa.kijowski import model_distance, transmitted_kijowski
 from sts_toa.numerics import EnergyGrid, TimeGrid, fourier_E_to_t
 from sts_toa.oracle import (GridSolverConfig, barrier_transmission_norm,
                             crank_nicolson_evolve, time_potential_solution,
@@ -97,11 +96,12 @@ def test_criterion_05_models_differ_at_moderate_barrier(sweep, report):
             ", ".join(f"L1({v0}) = {d:.3g}" for v0, d in dists.items()))
 
 
-def test_criterion_06_transmission_oracle_equivalence(report):
+def test_criterion_06_transmission_oracle_equivalence(chain_T, report):
+    # T(P) of the Kijowski model's chain: unit amplitudes carried to x = L, times R
     p = np.linspace(0.501, 4.001, 512)
     worst_t, worst_u = 0.0, 0.0
     for v0 in (1.125, 1.8, 4.5):
-        T_closed = transmission_amplitude(p, v0, BARRIER_L)
+        T_closed = chain_T(p, v0, BARRIER_L)
         T_tm, R_tm = transfer_matrix_T(p, v0, BARRIER_L)
         worst_t = max(worst_t, float(np.max(np.abs(T_closed - T_tm))))
         worst_u = max(worst_u, float(np.max(np.abs(

@@ -208,8 +208,8 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_energy_floor_far_below_the_packet(self, capsys, tmp_path):
-        # |T| <= 1 keeps transmission_amplitude's denominator no smaller
-        # than its numerator, so tiny momenta (P ~ 1e-40 here) are no pole
+        # without a barrier R(E) = 4 P^2 / 4 P^2: its denominator is its
+        # numerator, so tiny momenta (P ~ 1e-40 here) are no pole
         cfg = {"preset": "fig2", "barrier": {"v0": [0.0]},
                "egrid": {"e_min": 1e-80, "e_max": 3.125, "n": 16384},
                "models": ["kijowski_transmitted"]}

@@ -11,6 +11,7 @@ from sts_toa.oracle import energy_integral_reference
 from sts_toa.packet import (GaussianPacketSpec, SpectralAmplitude, default_energy_grid,
                             sc_initial_amplitude)
 from sts_toa.potential import PiecewisePotential
+from sts_toa.scenario import ScenarioConfig, run_scenario
 
 BARRIER = PiecewisePotential.square_barrier(4.5, 10.0)
 # fig2 heights; the slice counts used with them below give the closed form's
@@ -217,6 +218,22 @@ class TestFreeArrival:
         spec = GaussianPacketSpec(x_i=-50.0, p_i=0.2, delta=10.0)
         with pytest.raises(ConfigError, match="^packet: "):
             free_kijowski(spec, 50.0, tgrid)
+
+    def test_shares_the_free_flight(self):
+        # fig2's free model flies to x = 50 on the grid where the V0 = 0 sts
+        # amplitude does too, so the two share one factor; behind V0 = 1.8
+        # the flight is x - L = 40
+        _free_flight.cache_clear()
+        run_scenario(ScenarioConfig.from_dict({"preset": "fig2",
+                                               "barrier": {"v0": [0.0, 1.8]}}))
+        info = _free_flight.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        # repeated runs of the free model alone keep hitting the cache
+        cfg = ScenarioConfig.from_dict({"preset": "fig2", "models": ["kijowski_free"]})
+        run_scenario(cfg)
+        hits = _free_flight.cache_info().hits
+        run_scenario(cfg)
+        assert _free_flight.cache_info().hits == hits + 1
 
     def test_momentum_phase_shifts_density(self, spec, egrid):
         tgrid = TimeGrid(0.0, 150.0, 4096)

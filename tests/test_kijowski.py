@@ -4,8 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sts_toa.errors import ConfigError, GridMismatch
 from sts_toa.evolution import TOADistribution, barrier_toa, free_kijowski, toa_density
-from sts_toa.kijowski import (model_distance, transmission_amplitude,
-                              transmitted_amplitude, transmitted_kijowski)
+from sts_toa.kijowski import model_distance, transmitted_amplitude, transmitted_kijowski
 from sts_toa.numerics import EnergyGrid, TimeGrid
 from sts_toa.oracle import transfer_matrix_T
 from sts_toa.packet import GaussianPacketSpec, SpectralAmplitude, sc_initial_amplitude
@@ -15,49 +14,51 @@ P_GRID = np.linspace(0.501, 4.001, 512)
 
 
 class TestTransmissionAmplitude:
-    def test_zero_barrier_is_transparent(self):
-        T = transmission_amplitude(P_GRID, 0.0, 10.0)
+    """T(P) through the chain the Kijowski model runs (``chain_T``)."""
+
+    def test_zero_barrier_is_transparent(self, chain_T):
+        T = chain_T(P_GRID, 0.0, 10.0)
         np.testing.assert_allclose(np.abs(T), 1.0, atol=1e-14)
 
-    def test_never_exceeds_unity(self):
+    def test_never_exceeds_unity(self, chain_T):
         for v0 in (0.5, 1.8, 4.5, 20.0):
-            T = transmission_amplitude(P_GRID, v0, 10.0)
+            T = chain_T(P_GRID, v0, 10.0)
             assert np.max(np.abs(T) ** 2) <= 1.0 + 1e-10
 
-    def test_weak_barrier_limit(self):
-        T1 = transmission_amplitude(2.0, 1e-4, 10.0)
-        T2 = transmission_amplitude(2.0, 1e-6, 10.0)
+    def test_weak_barrier_limit(self, chain_T):
+        T1 = chain_T(2.0, 1e-4, 10.0)
+        T2 = chain_T(2.0, 1e-6, 10.0)
         assert abs(abs(T2) - 1.0) < abs(abs(T1) - 1.0)
         assert abs(T2 - np.exp(0j)) < 1e-4          # T -> 1 (phase included)
 
-    def test_over_barrier_resonances(self):
+    def test_over_barrier_resonances(self, chain_T):
         # momenta where P' L is a multiple of pi transmit perfectly
         v0, L = 1.8, 10.0
         for n in (3, 5, 8):
             p_prime = n * np.pi / L
             p = np.sqrt(p_prime**2 + 2.0 * v0)
-            T = transmission_amplitude(p, v0, L)
+            T = chain_T(p, v0, L)
             assert abs(T) == pytest.approx(1.0, abs=1e-10)
 
-    def test_turning_point_is_finite(self):
+    def test_turning_point_is_finite(self, chain_T):
         v0 = 1.125
         p_turn = np.sqrt(2.0 * v0)
-        T = transmission_amplitude(p_turn, v0, 10.0)
+        T = chain_T(p_turn, v0, 10.0)
         assert np.isfinite(T) and 0 < abs(T) < 1
         T_tm, _ = transfer_matrix_T(p_turn, v0, 10.0)
         assert abs(T - T_tm) < 1e-12
 
-    def test_opaque_barrier_decays_without_overflow(self):
+    def test_opaque_barrier_decays_without_overflow(self, chain_T):
         # kappa L = 728 to 732: cosh overflows, exp(-kappa L) is subnormal
         p = np.array([0.5, 1.0, 2.0])
         kappa = np.sqrt(2.0 * 2000.0 - p**2)
-        T = transmission_amplitude(p, 2000.0, 11.5)
+        T = chain_T(p, 2000.0, 11.5)
         expect = 4.0 * p * kappa * np.exp(-kappa * 11.5) / (p**2 + kappa**2)
         assert np.all(np.isfinite(T))
         np.testing.assert_allclose(np.abs(T), expect, rtol=1e-6)
 
-    def test_matches_transfer_matrix_at_reference_point(self):
-        T = transmission_amplitude(2.0, 4.5, 10.0)
+    def test_matches_transfer_matrix_at_reference_point(self, chain_T):
+        T = chain_T(2.0, 4.5, 10.0)
         T_tm, _ = transfer_matrix_T(2.0, 4.5, 10.0)
         assert abs(abs(T) ** 2 - abs(T_tm) ** 2) < 1e-10
 
@@ -66,8 +67,8 @@ class TestTransmissionAmplitude:
            st.floats(min_value=0.0, max_value=25.0),
            st.floats(min_value=0.5, max_value=20.0))
     @example(2.0, 2.0, 1.0)  # the turning point P^2 = 2 m v0
-    def test_matches_transfer_matrix_everywhere(self, p, v0, length):
-        T = transmission_amplitude(p, v0, length)
+    def test_matches_transfer_matrix_everywhere(self, chain_T, p, v0, length):
+        T = chain_T(p, v0, length)
         T_tm, R_tm = transfer_matrix_T(p, v0, length)
         assert abs(T - T_tm) < 1e-9
         assert abs(abs(T_tm) ** 2 + abs(R_tm) ** 2 - 1.0) < 1e-12
@@ -84,7 +85,7 @@ def expm1_reflections(P, Pp, length):
 
 
 class TestRealArithmetic:
-    """R(E) and T(P) from real pieces against the complex expm1 form."""
+    """R(E) from real pieces against the complex expm1 form."""
 
     @staticmethod
     def _assert_close(got, expect):
@@ -102,29 +103,11 @@ class TestRealArithmetic:
         expect = expm1_reflections(np.sqrt(2.0 * E), Pp, length)
         self._assert_close(R, expect)
 
-    def test_amplitude_for_unsorted_momenta(self):
-        # both sides of P = 2, with the turning point P^2 = 2 m v0 among them
-        rng = np.random.default_rng(20)
-        P = rng.permutation(np.append(np.linspace(0.3, 4.0, 257), 2.0))
-        Pp = np.sqrt((P**2 - 4.0).astype(complex))
-        expect = expm1_reflections(P, Pp, 7.0) * np.exp(-1j * (P - Pp) * 7.0)
-        self._assert_close(transmission_amplitude(P, 2.0, 7.0), expect)
-        T = transmission_amplitude(P.reshape(2, -1), 2.0, 7.0)
-        self._assert_close(T, expect.reshape(2, -1))
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_scalar_momentum_gives_a_complex(self, p):
-        T = transmission_amplitude(p, 2.0, 7.0)
-        assert type(T) is complex
-        Pp = np.sqrt(complex(p**2 - 4.0))
-        self._assert_close(T, expm1_reflections(p, Pp, 7.0) * np.exp(-1j * (p - Pp) * 7.0))
-
     def test_no_barrier_is_exactly_transparent_at_tiny_energy(self):
         # D ~ 4 P^2 ~ 3e-178, so D D* underflows to 0; num / den does not
         egrid = EnergyGrid(4.04e-179, 1.0, 2)
         sts = SpectralAmplitude(np.ones(2), anchor_x=20.0, egrid=egrid)
         assert np.array_equal(transmitted_amplitude(sts, 0.0, 10.0).values, [1.0, 1.0])
-        assert transmission_amplitude(np.sqrt(2.0 * 4.04e-179), 0.0, 10.0) == 1.0
 
 
 class TestTransmittedDistribution:
@@ -142,7 +125,7 @@ class TestTransmittedDistribution:
         from sts_toa.packet import psi_momentum
         dist = transmitted_kijowski(spec, 1.8, 10.0, 50.0, tgrid)
         p = np.linspace(0.01, 6.0, 40_001)
-        T = transmission_amplitude(p, 1.8, 10.0)
+        T, _ = transfer_matrix_T(p, 1.8, 10.0)
         expect = np.trapezoid(np.abs(T * psi_momentum(spec, p)) ** 2, p)
         assert dist.arrival_probability == pytest.approx(expect, abs=1e-6)
 
@@ -165,16 +148,20 @@ IDENTITY_HEIGHTS = (0.0, 1.125, 1.8, 4.5, 6.0)
 
 class TestAmplitudeIdentity:
     """The transmitted-Kijowski amplitude, built as the closed-form sts
-    amplitude times R(E), against a0 T(P) exp(i P x) with the T(P) that
-    TestTransmissionAmplitude checks against the transfer matrix."""
+    amplitude times R(E), against a0 T(P) exp(i P x) with
+    T(P) = R exp(-i (P - P') L) and R in complex arithmetic
+    (``expm1_reflections``), which shares no code with the model's R."""
 
     @pytest.fixture(scope="class")
     def reference(self, spec, egrid, tgrid):
         a0 = sc_initial_amplitude(spec, egrid)
-        P = np.sqrt(2.0 * spec.m * egrid.samples)
+        E = egrid.samples
+        P = np.sqrt(2.0 * spec.m * E)
         out = {}
         for v0 in IDENTITY_HEIGHTS:
-            values = a0.values * transmission_amplitude(P, v0, 10.0) * np.exp(1j * P * 50.0)
+            Pp = np.sqrt((2.0 * spec.m * (E - v0)).astype(complex))
+            T = expm1_reflections(P, Pp, 10.0) * np.exp(-1j * (P - Pp) * 10.0)
+            values = a0.values * T * np.exp(1j * P * 50.0)
             amps = SpectralAmplitude(values, anchor_x=50.0, egrid=egrid, m=spec.m)
             out[v0] = toa_density(amps, tgrid)
         return out

@@ -116,6 +116,20 @@ class TestRun:
         assert cfg.v0_list == (0.0, 4.5)
         assert [pt.v0 for pt in run_scenario(cfg).points] == [0.0, 4.5]
 
+    # a height of -0.0 is 0.0: one point whatever the order, named and
+    # reported with a positive sign
+    @pytest.mark.parametrize("heights", [[-0.0, 1.8], [-0.0, 0.0, 1.8], [0.0, -0.0, 1.8]])
+    def test_negative_zero_height_is_zero(self, tmp_path, heights):
+        cfg = fig2(barrier={"v0": heights},
+                   tgrid={"t_min": 0.0, "t_max": 150.0, "n": 64}, models=["sts"])
+        assert [np.copysign(1.0, v) for v in cfg.v0_list] == [1.0, 1.0]
+        result = run_scenario(cfg)
+        paths = emit_csv(result, tmp_path / "s.csv")
+        assert [p.name for p in paths] == ["s_v0_0.csv", "s_v0_1p8.csv"]
+        emit_svg(result, tmp_path / "s.svg")
+        assert "V0 = -0" not in (tmp_path / "s.svg").read_text(encoding="utf-8")
+        assert json.dumps(result.summary()["points"][0]["v0"]) == "0.0"
+
     def test_summary_is_json_serializable(self, small_result):
         text = json.dumps(small_result.summary())
         assert "l1_distance_sts_kijowski" in text

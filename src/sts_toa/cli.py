@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -237,9 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_v0(argv: list[str]) -> list[str]:
+    """``--v0 <list>`` as ``--v0=<list>`` when the list starts with a minus
+    and a digit or '.', which argparse would otherwise read as a flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--v0" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--v0={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_v0(sys.argv[1:] if argv is None else argv))
     try:
         return args._handler(args)
     except ConfigError as exc:

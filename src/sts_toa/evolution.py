@@ -19,9 +19,9 @@ the split, where the factor is the unit phase exp(i W_v kappa_v) that
 ``numerics.unit_phase`` forms from tan(W_v kappa_v / 2), and k_v = i kappa_v
 below it, where the factor is the decay exp(-W_v kappa_v).  The growth
 exponents -W_v kappa_v below the splits are summed and checked before any
-exponential is formed.  The free packet's detector phase exp(i P x) is the
-cached free flight over x, which a V0 = 0 translation to the same detector
-shares.
+exponential is formed.  The free packet's amplitude at the detector is the
+zero-potential translation to x, the same ``propagate`` call as a V0 = 0
+height's, so both share the cached free flight.
 
 A level inside the energy window is a square-root branch point of the
 amplitude, so ``propagate`` records it with its summed width in the result's
@@ -213,10 +213,10 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
                   method: str = "fft") -> TOADistribution:
     """Arrival-time density of the free positive-momentum packet at x.
 
-    Built directly from the momentum wave function weighted by sqrt(P) (in the
-    energy variable, (m/2E)^(1/4) psi_momentum), times the detector phase
-    exp(i P x), the cached free flight over x, and transformed to the time
-    domain, as the zero-potential translation to x is.  Without ``egrid`` it
+    The momentum wave function weighted by sqrt(P) (in the energy variable,
+    (m/2E)^(1/4) psi_momentum) carried to x by the zero-potential translation
+    (``propagate`` through ``PiecewisePotential.free()``, the detector phase
+    exp(i P x)) and transformed to the time domain.  Without ``egrid`` it
     runs on the default grid of the window ``tgrid``
     (``default_energy_grid(spec, tgrid)``).  Raises
     ConfigError unless the packet's momenta are essentially positive
@@ -225,9 +225,7 @@ def free_kijowski(spec: GaussianPacketSpec, x: float, tgrid: TimeGrid,
     if not spec.has_positive_momenta():
         raise ConfigError("packet", "the free Kijowski model needs p_i - 5 sigma_p > 0")
     egrid = egrid if egrid is not None else default_energy_grid(spec, tgrid)
-    # factor first: NumPy's a0 * f and f * a0 can differ in the last digit
-    values = _free_flight(egrid, spec.m, x) * sc_initial_amplitude(spec, egrid).values
-    amps = SpectralAmplitude(values, anchor_x=x, egrid=egrid, m=spec.m)
+    amps = propagate(sc_initial_amplitude(spec, egrid), PiecewisePotential.free(), x)
     return toa_density(amps, tgrid, method=method)
 
 

@@ -47,7 +47,7 @@ def _top_momentum(spec: GaussianPacketSpec) -> float:
 
 
 def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
-    """Plane-wave matching across a square barrier; returns (T, R).
+    """Plane-wave matching across a square barrier; returns 1-D arrays (T, R).
 
     Solves the four continuity conditions at x = 0 and x = L numerically (a
     batched 4x4 linear solve), with the transmitted wave written as
@@ -76,10 +76,7 @@ def transfer_matrix_T(P, v0: float, length: float, m: float = 1.0):
     A[:, 2] = np.stack([np.zeros(n), ep, s, -ek], axis=-1)
     A[:, 3] = np.stack([np.zeros(n), 1j * kp * ep, c, -1j * k * ek], axis=-1)
     sol = np.linalg.solve(A, b[..., None])[..., 0]
-    T, R = sol[:, 3], sol[:, 0]
-    if T.size == 1:
-        return complex(T[0]), complex(R[0])
-    return T, R
+    return sol[:, 3], sol[:, 0]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sts_toa import scenario
+from sts_toa import cli, scenario
 from sts_toa.cli import main
 from sts_toa.kijowski import transmitted_kijowski
 from sts_toa.scenario import ScenarioConfig
@@ -49,6 +49,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig2",
                                "--v0", "1.0,potato")
         assert code == 2 and "--v0" in err
+
+    # argparse reads a value that starts with a minus and is not one plain
+    # number as a flag; a list or an exponent after --v0 is still its value
+    @pytest.mark.parametrize("command", ["sweep", "compare", "barrier-toa", "oracle"])
+    @pytest.mark.parametrize("v0, heights", [("-0.5,1.8", [-0.5, 1.8]), ("-1e-3", [-0.001])])
+    def test_negative_v0_list_needs_no_equals(self, capsys, command, v0, heights):
+        extra = ("--time-factor", "1.5") if command == "oracle" else ()
+        code, out, _ = run_cli(capsys, command, "--preset", "fig2", "--v0", v0, *extra)
+        assert code == 0
+        rows = json.loads(out)["oracle" if command == "oracle" else "points"]
+        assert [row["v0"] for row in rows] == heights
+
+    def test_v0_followed_by_a_flag_lacks_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2", "--v0", "--models", "sts"])
+        assert exc.value.code == 2
+        assert "argument --v0: expected one argument" in capsys.readouterr().err
 
     def test_unknown_model(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--preset", "fig2",
@@ -476,3 +493,15 @@ class TestSubcommands:
         assert code == 0
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
+
+    # a case that raises fails without stopping the cases after it
+    def test_selfcheck_case_that_raises_fails(self, capsys, monkeypatch):
+        def broken():
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(cli, "_selfcheck_cases",
+                            lambda: [("broken", broken), ("sound", lambda: (0.0, 1.0))])
+        code, out, _ = run_cli(capsys, "selfcheck")
+        assert code == 3
+        assert out.splitlines() == ["FAIL  broken: raised FloatingPointError: overflow",
+                                    "PASS  sound: max err 0 (tol 1)"]

@@ -192,6 +192,17 @@ class TestDensity:
         with pytest.raises(DivergenceWarning, match="at x = 50.0: not finite"):
             TOADistribution.from_transform(at_detector, np.ones(64, dtype=complex), tgrid)
 
+    def test_density_must_match_the_time_grid(self):
+        with pytest.raises(ValueError, match="match the time grid length"):
+            TOADistribution(TimeGrid(0.0, 150.0, 64), np.full(63, 1.0 / 150.0), 1.0)
+
+    # an amplitude that arrives but whose time series is zero on the window
+    def test_no_mass_inside_the_window_never_arrives(self, amps):
+        tgrid = TimeGrid(0.0, 150.0, 64)
+        at_detector = SpectralAmplitude(amps.values, anchor_x=50.0, egrid=amps.egrid, m=amps.m)
+        with pytest.raises(ZeroArrival, match="no density mass inside the time window"):
+            TOADistribution.from_transform(at_detector, np.zeros(64, dtype=complex), tgrid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300])
     def test_density_must_be_finite_and_nonnegative(self, bad):
         tgrid = TimeGrid(0.0, 150.0, 64)

@@ -90,6 +90,10 @@ class TestTrapezoid:
         val = trapezoid_complex(np.exp(1j * x), x[1] - x[0])
         assert abs(val) < 1e-6
 
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            trapezoid_complex(np.ones(1), 0.1)
+
     @given(st.integers(min_value=2, max_value=200))
     def test_matches_numpy(self, n):
         rng = np.random.default_rng(n)
@@ -229,6 +233,28 @@ class TestFourier:
         coarse = EnergyGrid(1.0, 3.0, 16)
         with pytest.raises(GridTooCoarse):
             fourier_E_to_t(np.ones(16, dtype=complex), coarse, self.tgrid)
+
+    def test_unknown_method_is_named(self):
+        with pytest.raises(ValueError, match="unknown method 'chirp'"):
+            fourier_E_to_t(self._gaussian_amps(), self.egrid, self.tgrid, method="chirp")
+
+    # the quadrature's end weights, written out: below 8 energies the
+    # trapezoid's 1/2 ends, at 8 Gregory's four-point ends meeting in the middle
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_end_weights_of_small_grids(self, method, n):
+        egrid, tgrid = EnergyGrid(1.0, 2.0, n), TimeGrid(-1.5, 1.5, 5)
+        if n < 8:
+            w = np.array([0.5] + [1.0] * (n - 2) + [0.5])
+        else:
+            w = np.array([251.0, 897.0, 633.0, 739.0, 739.0, 633.0, 897.0, 251.0]) / 720.0
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        E, t = egrid.samples, tgrid.samples
+        expect = [np.sum(w * a * np.exp(-1j * E * tk)) * egrid.spacing / np.sqrt(2.0 * np.pi)
+                  for tk in t]
+        out = fourier_E_to_t(a, egrid, tgrid, method=method)
+        assert np.max(np.abs(out - expect)) < 1e-12
 
 
 # Bernoulli polynomials B_2 ... B_6 in x, as coefficient lists from x^0 up

@@ -48,6 +48,16 @@ class TestSolverConfig:
         with pytest.raises(UnstableConfig):
             cfg.validate(spec, PiecewisePotential.free())
 
+    def test_rejects_fewer_than_eight_nodes(self):
+        with pytest.raises(ValueError, match="n_x too small"):
+            GridSolverConfig(x_min=-1.0, x_max=1.0, n_x=7, dt=1e-3, t_final=1.0)
+
+    @pytest.mark.parametrize("dt, t_final", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0),
+                                             (1e-3, -1.0)])
+    def test_rejects_nonpositive_times(self, dt, t_final):
+        with pytest.raises(ValueError, match="dt and t_final must be positive"):
+            GridSolverConfig(x_min=-1.0, x_max=1.0, n_x=64, dt=dt, t_final=t_final)
+
 
 @pytest.mark.parametrize("p_i", [-0.2, -2.0])
 def test_step_bound_holds_for_left_moving_packets(p_i):
@@ -363,6 +373,10 @@ class TestTimePotential:
         mask = (res.x > -40.0) & (res.x < 0.0)
         psi_ref = time_potential_solution(self.SPEC, lambda t: 0.0, res.x[mask], 10.0)
         assert np.max(np.abs(res.psi_final[mask] - psi_ref)) < 1e-6
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            time_potential_solution(self.SPEC, lambda t: 0.0, 0.0, -1.0)
 
 
 class TestEnergyIntegralReference:

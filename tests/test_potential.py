@@ -51,6 +51,10 @@ class TestPiecewise:
             _, widths = BARRIER.levels(5.0, 5.0, n_slices)
             assert np.all(widths == 0.0)
 
+    def test_levels_need_a_slice(self):
+        with pytest.raises(ValueError, match="n_slices must be >= 1"):
+            BARRIER.levels(-5.0, 15.0, n_slices=0)
+
 
 def _factor(pot, x0, x, egrid):
     """exp(i theta(E; x0 -> x)) on the grid: unit amplitudes at x0 moved to x."""

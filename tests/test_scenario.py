@@ -31,12 +31,14 @@ def _densities(result):
 
 
 def _count_propagations(monkeypatch):
-    """The argument tuples of every later ``evolution.propagate`` call."""
+    """The argument tuples of every later ``evolution.propagate`` call through
+    a barrier (the free model's zero-potential translation is not counted)."""
     calls = []
     propagate = evolution.propagate
 
     def counted(*args):
-        calls.append(args)
+        if args[1].segments:
+            calls.append(args)
         return propagate(*args)
 
     monkeypatch.setattr(evolution, "propagate", counted)
@@ -269,6 +271,12 @@ class TestRun:
             assert np.array_equal(rho[name], _densities(closed)[name])
         assert np.array_equal(rho["sts"], _densities(closed)["sts"]) == (translations == 1)
 
+    # the free model's amplitude is the zero-potential translation, the same
+    # propagate call a V0 = 0 height makes, so the two densities are one
+    def test_zero_height_sts_is_the_free_model(self):
+        rho = _densities(run_scenario(fig2(barrier={"v0": [0.0]})))
+        assert np.array_equal(rho["sts"], rho["kijowski_free"])
+
     # without an egrid every model runs on the window's 2**12 energies, so
     # where 50 slices give the closed form a height translates once, and
     # each model matches the closed run bit for bit
@@ -452,6 +460,14 @@ class TestSvg:
         root = ET.parse(path).getroot()
         # one density curve (the legend swatch is a <line>, not a polyline)
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+
+    def test_no_points_write_no_file(self, tmp_path):
+        path = tmp_path / "empty.svg"
+        with pytest.raises(ConfigError, match="no sweep points to plot"):
+            emit_svg(ScenarioResult(config=fig2()), path)
+        with pytest.raises(ValueError, match="at least one panel"):
+            render_svg([], str(path))
+        assert not path.exists()
 
     def test_rerun_is_byte_identical(self, small_result, tmp_path):
         a = emit_svg(small_result, tmp_path / "a.svg")
